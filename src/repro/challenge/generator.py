@@ -184,6 +184,14 @@ def iter_generate_challenge_layers(
     accepted (and validated) for signature parity with
     :func:`generate_challenge_network`; it does not affect the layers.
 
+    Every yielded layer shares one read-only ``indptr`` and one
+    read-only ``data`` array (a column permutation keeps each row's
+    count, and the weight is constant); only ``indices`` is new per
+    layer.  Holding many layers therefore costs about half the bytes of
+    independent copies, and writing into a layer's ``data`` raises
+    ``ValueError`` -- copy it first (``layer.with_data(layer.data.copy())``)
+    to get a writable layer.
+
     Arguments are validated *eagerly* (at the call, not on first
     ``next()``), so callers that set up side effects -- output
     directories, progress reporting -- before consuming the stream see
@@ -202,7 +210,13 @@ def iter_generate_challenge_layers(
         # so every neuron has exactly `connections` outgoing and incoming
         # edges.
         base_layer = _challenge_base_layer(neurons, connections)
-        base_weight = base_layer.with_data(np.full(base_layer.nnz, weight))
+        # one read-only row pointer and value array for every layer: a
+        # column permutation keeps each row's count, and the weight is
+        # constant, so only the column indices differ between layers
+        indptr = base_layer.indptr
+        data = np.full(base_layer.nnz, weight)
+        indptr.flags.writeable = data.flags.writeable = False
+        base_weight = CSRMatrix(base_layer.shape, indptr, base_layer.indices, data)
         bias_value = challenge_bias_value(connections, weight)
         for _ in range(num_layers):
             layer = base_weight
@@ -210,9 +224,10 @@ def iter_generate_challenge_layers(
                 # sparse column permutation: O(nnz), preserves per-layer
                 # nnz (so connections_per_neuron stays exact) -- never a
                 # dense N x N buffer
-                layer = permute_columns(
+                permuted = permute_columns(
                     base_weight, rng.permutation(neurons), backend=backend
                 )
+                layer = CSRMatrix(base_layer.shape, indptr, permuted.indices, data)
             yield layer, np.full(neurons, bias_value)
 
     return _layers()

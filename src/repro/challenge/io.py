@@ -10,10 +10,13 @@ Layout on disk (mirrors the official distribution):
                                arrays, written by save/load so repeated runs
                                skip TSV parsing entirely
 
-TSV paths are fully vectorized: writes go through ``np.savetxt`` on the
-stacked COO triples and reads through chunked ``np.loadtxt`` (a bounded
-number of rows per chunk, so a 65536-neuron layer file never needs a
-per-line Python loop *or* an unbounded parse buffer).
+TSV paths are fully vectorized and chunked by :data:`TSV_CHUNK_ROWS`
+entries, so a 65536-neuron layer file never needs a per-line Python loop
+*or* an unbounded buffer.  Writes encode the canonical CSR directly:
+index fields from a lookup table, each distinct value formatted once,
+one join per chunk -- the bytes ``np.savetxt`` wrote over the coalesced
+COO triples, at a small fraction of its cost.  Reads go through chunked
+``np.loadtxt``.
 
 The ``.npz`` sidecar stores each layer's canonical CSR arrays
 (``l<i>_indptr`` / ``l<i>_indices`` / ``l<i>_data``) uncompressed.  It is
@@ -40,6 +43,7 @@ one layer's nnz resident.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 import zipfile
@@ -56,8 +60,8 @@ from repro.topology.fnnt import FNNT
 
 CACHE_VERSION = 1
 
-# rows per np.loadtxt call when parsing a layer TSV; bounds the parse
-# buffer for arbitrarily large layer files
+# lines per np.loadtxt call when parsing a layer TSV, and per join when
+# encoding one; bounds the buffer for arbitrarily large layer files
 TSV_CHUNK_ROWS = 1 << 16
 
 
@@ -401,16 +405,66 @@ def _open_fresh_cache(
 # --------------------------------------------------------------------------- #
 # public API
 # --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=4)
+def _label_table(size: int) -> np.ndarray:
+    """``"1\\t" .. "<size>\\t"``: the 1-based index fields, formatted once."""
+    table = np.array(["%d\t" % i for i in range(1, size + 1)], dtype=object)
+    table.flags.writeable = False  # cached: shared by every caller
+    return table
+
+
+def _is_canonical(weight: CSRMatrix) -> bool:
+    """True when column indices strictly increase within every row.
+
+    :class:`CSRMatrix` documents canonical form but does not enforce it,
+    so the encoder checks before trusting the CSR order as the file order.
+    """
+    indices = weight.indices
+    if indices.size < 2:
+        return True
+    increasing = indices[1:] > indices[:-1]
+    # a row boundary may step down: exempt the pair straddling each one
+    starts = weight.indptr[1:-1]
+    increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return bool(increasing.all())
+
+
 def _write_layer_tsv(path: Path, weight: CSRMatrix) -> None:
     """Write one layer in the official 1-based ``row<TAB>col<TAB>weight`` format.
 
-    Vectorized: ``np.savetxt`` over the stacked COO triples, no per-nnz
-    Python loop.  Shared by the materialized and streaming save paths so
-    both produce byte-identical files (guarded by the golden-file tests).
+    The bytes are those of ``np.savetxt`` with ``fmt=("%d", "%d",
+    "%.17g")`` over the coalesced COO triples (the golden-file tests pin
+    them), produced without a per-line Python loop.  The 1-based index
+    fields come from a lookup table built once per width; the entries are
+    encoded :data:`TSV_CHUNK_ROWS` at a time -- each distinct value of the
+    chunk formatted once, the three fields of every entry gathered, one
+    join -- so the encoding buffer stays bounded however large the layer.
+    Canonical CSR is read directly; any other input (unsorted or
+    duplicate columns) is coalesced first.  Shared by the materialized
+    and streaming save paths, so both produce byte-identical files.
     """
-    coo = weight.to_coo().coalesce()
-    triples = np.column_stack([coo.rows + 1.0, coo.cols + 1.0, coo.values])
-    np.savetxt(path, triples, fmt=("%d", "%d", "%.17g"), delimiter="\t")
+    if _is_canonical(weight):
+        rows = np.repeat(np.arange(weight.shape[0]), np.diff(weight.indptr))
+        cols, values = weight.indices, weight.data
+    else:
+        coo = weight.to_coo().coalesce()
+        rows, cols, values = coo.rows, coo.cols, coo.values
+    labels = _label_table(max(weight.shape))
+    fields = np.empty(3 * min(rows.size, TSV_CHUNK_ROWS), dtype=object)
+    with path.open("wb") as handle:
+        for start in range(0, rows.size, TSV_CHUNK_ROWS):
+            stop = min(start + TSV_CHUNK_ROWS, rows.size)
+            # 0.0 + x matches coalesce's summation into zeros (-0.0 is
+            # written as 0); each distinct value is formatted once
+            distinct, which = np.unique(0.0 + values[start:stop], return_inverse=True)
+            value_fields = np.array(["%.17g\n" % v for v in distinct.tolist()], dtype=object)
+            chunk = fields[: 3 * (stop - start)]
+            chunk[0::3] = labels[rows[start:stop]]
+            chunk[1::3] = labels[cols[start:stop]]
+            chunk[2::3] = value_fields[which]
+            # str.join, not bytes.join: the latter allocates a buffer
+            # descriptor per piece, several times the text it joins
+            handle.write("".join(chunk.tolist()).encode("ascii"))
 
 
 def save_challenge_layers(
@@ -583,6 +637,11 @@ def iter_challenge_layers(
         result = streaming_inference(
             iter_challenge_layers(directory, 1024), batch, threshold=32.0
         )
+
+    The meta file and ``start`` are checked *eagerly* (at the call, not
+    on first ``next()``): under :class:`repro.challenge.pipeline.LoadStage`
+    the first ``next()`` runs on the prefetch thread, and a missing
+    directory must fail where the stream is set up.
     """
     directory = Path(directory)
     n, num_layers, _, bias_value = _read_meta(directory, neurons)
@@ -590,19 +649,25 @@ def iter_challenge_layers(
         raise SerializationError(
             f"start={start} out of range 0..{num_layers} for {directory}"
         )
-    reader = (
-        _open_fresh_cache(directory, n, num_layers, mmap=mmap) if use_cache else None
-    )
-    try:
-        for i in range(int(start) + 1, num_layers + 1):
+
+    def _layers() -> Iterator[tuple[CSRMatrix, np.ndarray]]:
+        # the sidecar opens on first next(), so a stream that is never
+        # consumed holds no file handle
+        reader = (
+            _open_fresh_cache(directory, n, num_layers, mmap=mmap) if use_cache else None
+        )
+        try:
+            for i in range(int(start) + 1, num_layers + 1):
+                if reader is not None:
+                    weight = reader.layer(i, n)
+                else:
+                    weight = _parse_layer_tsv(_layer_path(directory, n, i), n)
+                yield weight, np.full(n, bias_value)
+        finally:
             if reader is not None:
-                weight = reader.layer(i, n)
-            else:
-                weight = _parse_layer_tsv(_layer_path(directory, n, i), n)
-            yield weight, np.full(n, bias_value)
-    finally:
-        if reader is not None:
-            reader.close()
+                reader.close()
+
+    return _layers()
 
 
 def load_challenge_network(

@@ -199,6 +199,16 @@ class TestReadLayer:
         with pytest.raises(SerializationError):
             list(iter_challenge_layers(net_dir, NEURONS, start=-1))
 
+    def test_iter_validates_at_the_call(self, net_dir, tmp_path):
+        # not on first next(): under LoadStage that runs on the prefetch
+        # thread, far from where the stream was set up
+        with pytest.raises(SerializationError, match="metadata file not found"):
+            iter_challenge_layers(tmp_path / "missing", NEURONS)
+        with pytest.raises(SerializationError, match="out of range"):
+            iter_challenge_layers(net_dir, NEURONS, start=LAYERS + 1)
+        with pytest.raises(SerializationError, match="metadata file not found"):
+            LoadStage.from_directory(tmp_path / "missing", NEURONS, prefetch=2)
+
     def test_read_challenge_meta(self, net_dir, network):
         meta = read_challenge_meta(net_dir, NEURONS)
         assert meta.neurons == NEURONS
