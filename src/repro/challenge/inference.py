@@ -35,6 +35,20 @@ density, and the peak activation ``nnz`` observed, so the memory win of
 the sparse policy is directly reportable (the dense equivalent is always
 ``batch * neurons`` stored elements).
 
+Live rows
+---------
+
+A row that is all zero gets no bias, so it stays exactly zero through
+every later layer.  :class:`DenseActivations` therefore carries only the
+*live* rows (those with any nonzero entry) plus their batch row ids, and
+each dense step first drops the rows that died in the previous layer:
+the kernels, bias, clamp and nonzero count then touch only the
+survivors, with results bitwise equal to the uncompacted recurrence.
+Row counts, densities and ``edges_traversed`` still describe the whole
+batch.  :attr:`InferenceResult.activations` scatters the survivors back
+into a full ``(batch, neurons)`` array on first read, so a result kept
+only for its categories and stats never holds the dead rows.
+
 :class:`InferenceEngine` is the production path: it binds a network to a
 sparse-kernel backend (see :mod:`repro.backends`), precomputes every
 layer's transposed weight matrix **once** at construction (the dense
@@ -62,6 +76,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,18 +154,37 @@ class ActivationPolicy:
 # activation batch representations
 # --------------------------------------------------------------------------- #
 class DenseActivations:
-    """A dense ``(batch, neurons)`` activation buffer (the SpMM path)."""
+    """A dense activation batch (the SpMM path) that holds only its live rows.
+
+    A row is *live* while it has any nonzero entry.  A dead row gets no
+    bias (the bias enters only rows whose sum is positive), so it stays
+    exactly ``0.0`` through every later layer; :meth:`step` therefore
+    drops the rows that died since the last step and runs the kernels
+    over the survivors only.  ``array`` holds the carried rows,
+    ``row_ids`` their batch row indices (``None`` when no row has been
+    dropped), and :attr:`rows` /
+    :attr:`elements` / :meth:`density` keep describing the whole batch,
+    so policy decisions and recorded stats do not depend on compaction.
+    :meth:`to_array` scatters the live rows back into a full batch.
+    """
 
     kind = DENSE
-    __slots__ = ("array", "_nnz")
+    __slots__ = ("array", "row_ids", "_rows", "_nnz")
 
-    def __init__(self, array: np.ndarray) -> None:
+    def __init__(
+        self,
+        array: np.ndarray,
+        row_ids: np.ndarray | None = None,
+        rows: int | None = None,
+    ) -> None:
         self.array = array
+        self.row_ids = row_ids
+        self._rows = array.shape[0] if row_ids is None else int(rows)
         self._nnz: int | None = None
 
     @property
     def rows(self) -> int:
-        return self.array.shape[0]
+        return self._rows
 
     @property
     def neurons(self) -> int:
@@ -158,7 +192,7 @@ class DenseActivations:
 
     @property
     def elements(self) -> int:
-        return int(self.array.size)
+        return self.rows * self.neurons
 
     def nnz(self) -> int:
         if self._nnz is None:
@@ -168,6 +202,25 @@ class DenseActivations:
     def density(self) -> float:
         return self.nnz() / self.elements if self.elements else 0.0
 
+    def _live(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """``(live rows, their batch row ids, which of them take the bias)``."""
+        y = self.array
+        active = y.sum(axis=1) > 0
+        if active.all():
+            return y, self.row_ids, active
+        # a row whose sum is not positive may still hold nonzeros (negative
+        # inputs, NaN); after compaction only rows that just died get here
+        alive = active.copy()
+        suspects = np.flatnonzero(~active)
+        alive[suspects] = np.any(y[suspects] != 0.0, axis=1)
+        if alive.all():
+            return y, self.row_ids, active
+        # compress along the transposed view keeps the (neurons, rows)
+        # C layout that spmm(weight_t, y.T) reads without a copy
+        live = np.compress(alive, y.T, axis=1).T
+        ids = np.flatnonzero(alive) if self.row_ids is None else self.row_ids[alive]
+        return live, ids, active[alive]
+
     def step(
         self,
         weight: CSRMatrix | None,
@@ -176,23 +229,39 @@ class DenseActivations:
         threshold: float,
         backend: SparseBackend,
     ) -> "DenseActivations":
+        y, row_ids, active = self._live()
+        if y.shape[0] == 0:
+            # nothing left alive: every later layer maps zeros to zeros
+            out = weight.shape[1] if weight is not None else weight_t.shape[0]
+            return DenseActivations(np.zeros((0, out)), row_ids, self.rows)
         if weight_t is None:
             weight_t = backend.transpose(weight)
-        return DenseActivations(
-            _dense_layer_step(self.array, weight_t, bias, threshold, backend)
-        )
+        z = _dense_layer_step(y, weight_t, bias, threshold, backend, active)
+        return DenseActivations(z, row_ids, self.rows)
 
     def to_dense(self) -> "DenseActivations":
         return self
 
     def to_sparse(self) -> "SparseActivations":
-        return SparseActivations(CSRMatrix.from_dense(self.array))
+        return SparseActivations(CSRMatrix.from_dense(self.to_array()))
 
     def to_array(self) -> np.ndarray:
-        return self.array
+        """The full ``(rows, neurons)`` batch, dead rows as zeros.
+
+        The scatter target keeps the live array's memory order, so a
+        checkpoint of a compacted batch is byte-identical to one of the
+        uncompacted batch.
+        """
+        if self.row_ids is None:
+            return self.array
+        order = "F" if self.array.flags.f_contiguous else "C"
+        full = np.zeros((self.rows, self.neurons), order=order)
+        full[self.row_ids] = self.array
+        return full
 
     def categories(self) -> np.ndarray:
-        return np.flatnonzero(self.array.sum(axis=1) > 0)
+        live = np.flatnonzero(self.array.sum(axis=1) > 0)
+        return live if self.row_ids is None else self.row_ids[live]
 
 
 class SparseActivations:
@@ -259,9 +328,16 @@ ActivationBatch = DenseActivations | SparseActivations
 
 @dataclass
 class InferenceResult:
-    """Outcome of a sparse DNN inference run."""
+    """Outcome of a sparse DNN inference run.
 
-    activations: np.ndarray
+    ``batch`` is the final activation batch as the recurrence left it --
+    for the dense path only its live rows (see :class:`DenseActivations`).
+    :attr:`activations` materializes the full ``(rows, neurons)`` array
+    on first read and caches it, so a result that is only asked for its
+    categories and stats never holds a dense copy of the dead rows.
+    """
+
+    batch: ActivationBatch = field(repr=False)
     categories: np.ndarray
     layer_seconds: list[float] = field(default_factory=list)
     edges_traversed: int = 0
@@ -270,6 +346,11 @@ class InferenceResult:
     layer_modes: list[str] = field(default_factory=list)
     layer_density: list[float] = field(default_factory=list)
     peak_activation_nnz: int = 0
+
+    @cached_property
+    def activations(self) -> np.ndarray:
+        """The final activations as a dense ``(rows, neurons)`` array."""
+        return self.batch.to_array()
 
     @property
     def total_seconds(self) -> float:
@@ -289,6 +370,7 @@ def _dense_layer_step(
     bias: np.ndarray,
     threshold: float,
     backend: SparseBackend,
+    active_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """One dense layer: ``min(max(Y W + b, 0), threshold)`` via SpMM.
 
@@ -296,18 +378,16 @@ def _dense_layer_step(
     as ``(W^T Y^T)^T``).  The bias is only added to rows that have any
     active input, matching the GraphBLAS reference implementation (bias
     enters through the semiring on existing entries, so fully-inactive
-    samples stay inactive).
+    samples stay inactive).  ``active_rows`` (``Y.sum(axis=1) > 0``) may
+    be passed in when the caller already has it.
     """
     z = backend.spmm(weight_t, y.T).T
-    active_rows = y.sum(axis=1) > 0
-    z[active_rows] += bias
+    if active_rows is None:
+        active_rows = y.sum(axis=1) > 0
+    np.add(z, bias, out=z, where=active_rows[:, None])
     np.maximum(z, 0.0, out=z)
     np.minimum(z, threshold, out=z)
     return z
-
-
-# retained name of the pre-policy kernel (external callers / pickles)
-_layer_step = _dense_layer_step
 
 
 class InferenceEngine:
@@ -463,11 +543,9 @@ class InferenceEngine:
         generated instance behaves like the real ones.
         """
         y = self._validate_inputs(inputs)
-        profile = []
-        for weight_t, bias in zip(self.weights_t, self.network.biases):
-            y = _dense_layer_step(y, weight_t, bias, self.network.threshold, self.backend)
-            profile.append(float(np.count_nonzero(y) / y.size))
-        return profile
+        return self._run_block(
+            y, record_timing=False, policy=ActivationPolicy(mode=DENSE)
+        ).layer_density
 
     # ------------------------------------------------------------------ #
     def _validate_inputs(self, inputs: np.ndarray) -> np.ndarray:
@@ -567,9 +645,11 @@ class InferenceEngine:
         per-layer modes/densities are chunk-local and therefore omitted.
         """
         return InferenceResult(
-            activations=np.concatenate(activations, axis=0)
-            if activations
-            else np.empty((0, self.network.neurons)),
+            batch=DenseActivations(
+                np.concatenate(activations, axis=0)
+                if activations
+                else np.empty((0, self.network.neurons))
+            ),
             categories=np.concatenate(categories)
             if categories
             else np.empty(0, dtype=np.int64),

@@ -109,7 +109,7 @@ class PipelineState:
     def result(self, *, backend: str, policy: ActivationPolicy) -> InferenceResult:
         """Materialize the state into an :class:`InferenceResult`."""
         return InferenceResult(
-            activations=self.batch.to_array(),
+            batch=self.batch,
             categories=self.batch.categories(),
             layer_seconds=list(self.layer_seconds),
             edges_traversed=self.edges_per_sample * self.rows,

@@ -55,6 +55,7 @@ from repro.challenge.inference import (
     ActivationPolicy,
     DenseActivations,
     SparseActivations,
+    _dense_layer_step,
 )
 from repro.challenge.pipeline import CheckpointStage, ComputeStage, PipelineState
 from repro.errors import SerializationError, ShapeError, ValidationError
@@ -247,24 +248,8 @@ def shard_layer(
 
 
 # --------------------------------------------------------------------------- #
-# per-shard kernels (exact per-block replicas of the unsharded steps)
+# per-shard kernels (the unsharded steps, run on one column block)
 # --------------------------------------------------------------------------- #
-def _dense_block(
-    backend: SparseBackend,
-    y: np.ndarray,
-    active_rows: np.ndarray,
-    weight_t: CSRMatrix,
-    bias: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """One shard's column block of ``_dense_layer_step`` (same op sequence)."""
-    z = backend.spmm(weight_t, y.T).T
-    z[active_rows] += bias
-    np.maximum(z, 0.0, out=z)
-    np.minimum(z, threshold, out=z)
-    return z
-
-
 def _sparse_block(
     backend: SparseBackend,
     y: CSRMatrix,
@@ -307,9 +292,13 @@ def _sharded_batch_step(
     for weight, weight_t, bias in sharded.shards:
         if weight_t is None:
             weight_t = backend.transpose(weight)
-        columns.append(_dense_block(backend, y, active_rows, weight_t, bias, threshold))
+        columns.append(
+            _dense_layer_step(y, weight_t, bias, threshold, backend, active_rows)
+        )
     return DenseActivations(
-        columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+        columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1),
+        batch.row_ids,
+        batch.rows,
     )
 
 
@@ -393,7 +382,9 @@ class ShardedComputeStage(ComputeStage):
                     )
                 )
             return DenseActivations(
-                blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+                blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1),
+                batch.row_ids,
+                batch.rows,
             )
 
         self._advance(
@@ -477,9 +468,7 @@ def _shard_worker(
                 )
                 reply = (block.shape, block.indptr, block.indices, block.data)
             else:
-                y = payload
-                active_rows = y.sum(axis=1) > 0
-                reply = _dense_block(backend, y, active_rows, weight_t, bias, threshold)
+                reply = _dense_layer_step(payload, weight_t, bias, threshold, backend)
             out_queue.put(("block", reply))
         out_queue.put(("done", peak_rss_mb()))
     except BaseException as exc:  # noqa: BLE001 - relayed to the parent

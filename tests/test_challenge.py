@@ -1,5 +1,7 @@
 """Tests for repro.challenge: generator, inference kernel, IO, verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.challenge.generator import (
     scale_series,
 )
 from repro.challenge.inference import (
+    InferenceEngine,
     infer_categories,
     layer_activation_profile,
     sparse_dnn_inference,
@@ -130,6 +133,36 @@ class TestInference:
         profile = layer_activation_profile(network, batch)
         assert len(profile) == 10
         assert profile[-1] > 0.05
+
+
+class TestLiveRowResult:
+    def test_result_holds_only_live_rows_until_activations_are_read(self):
+        neurons, rows = 256, 256
+        network = generate_challenge_network(neurons, 8, connections=8, seed=3)
+        # the sparser half of the batch dies within the first layers
+        batch = np.vstack([
+            challenge_input_batch(neurons, rows // 2, active_fraction=0.4, seed=1),
+            challenge_input_batch(neurons, rows // 2, active_fraction=0.1, seed=2),
+        ])
+        engine = InferenceEngine(network)
+        # chunked runs merge their chunks into one eager array; this also
+        # warms up first-call imports and caches outside the trace
+        eager = engine.run(
+            batch, activations="dense", record_timing=False, chunk_size=rows // 4
+        ).batch.array
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = engine.run(batch, activations="dense", record_timing=False)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.categories) == rows // 2
+        assert held <= 0.6 * rows * neurons * 8
+        np.testing.assert_array_equal(
+            result.activations.view(np.int64), eager.view(np.int64)
+        )
+        np.testing.assert_array_equal(result.categories, reference_categories(network, batch))
 
 
 class TestChallengeIO:

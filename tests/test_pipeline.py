@@ -7,16 +7,19 @@ reads that make resume seeks free (:func:`repro.challenge.io.read_layer`,
 interrupt -> resume bit-identity guarantee on every registered backend,
 the disk-backed drivers behind ``repro challenge run``, and the fact that
 the engine and ``streaming_inference`` route through the single pipeline
-implementation.
+implementation, and that the row-compacted dense path (only live rows are
+carried through the layers) is bitwise equal to the uncompacted recurrence.
 """
 
+import io
 import threading
+import zipfile
 
 import numpy as np
 import pytest
 
 import repro.challenge.pipeline as pipeline_mod
-from repro.backends import available_backends
+from repro.backends import available_backends, resolve_backend
 from repro.challenge.generator import (
     challenge_input_batch,
     generate_challenge_network,
@@ -42,8 +45,11 @@ from repro.challenge.pipeline import (
     run_pipeline,
     save_checkpoint,
 )
+from repro.challenge.verify import reference_categories
 from repro.errors import SerializationError, ShapeError, ValidationError
 from repro.parallel.pipeline import Prefetcher, prefetched
+from repro.parallel.sharding import ShardLayout
+from repro.serve.engine import ServingEngine
 
 NEURONS = 64
 LAYERS = 10
@@ -559,3 +565,215 @@ class TestChallengeRunCLI:
         assert main(["challenge", "run", "--dir", str(net_dir),
                      "--resume", str(net_dir)]) == 1
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# row compaction: the dense path carries only the rows that are still alive
+# --------------------------------------------------------------------------- #
+def _uncompacted(layers, inputs, threshold, backend=None):
+    """Per-layer activations of the recurrence over *every* row.
+
+    This is the dense loop as it ran before dead rows were dropped: each
+    layer multiplies, biases, clamps and keeps all batch rows.
+    """
+    impl = resolve_backend(backend)
+    y = np.asarray(inputs, dtype=np.float64)
+    out = []
+    for weight, bias in layers:
+        z = impl.spmm(impl.transpose(weight), y.T).T
+        z[y.sum(axis=1) > 0] += bias
+        np.maximum(z, 0.0, out=z)
+        np.minimum(z, threshold, out=z)
+        out.append(z)
+        y = z
+    return out
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _CountingBackend:
+    """Forwards to the active backend, counting the layer kernels."""
+
+    def __init__(self):
+        self.inner = resolve_backend(None)
+        self.name = self.inner.name
+        self.calls = {"spmm": 0, "transpose": 0}
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
+
+    def spmm(self, a, dense):
+        self.calls["spmm"] += 1
+        return self.inner.spmm(a, dense)
+
+    def transpose(self, a):
+        self.calls["transpose"] += 1
+        return self.inner.transpose(a)
+
+
+@pytest.fixture(scope="module")
+def dying_batch():
+    """32 rows over ``network``: rows die at layers 3-6 and 23 survive."""
+    return challenge_input_batch(NEURONS, 32, seed=5)
+
+
+def _layers(network):
+    return list(zip(network.weights, network.biases))
+
+
+def _alive(array):
+    return int(np.any(array != 0.0, axis=1).sum())
+
+
+class TestRowCompaction:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_rows_dying_mid_run_are_bitwise_equal(self, network, dying_batch, backend):
+        oracle = _uncompacted(_layers(network), dying_batch, network.threshold, backend)
+        alive = [_alive(a) for a in oracle]
+        assert alive[1] == 32 and alive[-1] == 23  # rows die mid-run
+        result = InferenceEngine(network, backend=backend).run(
+            dying_batch, activations="dense", record_timing=False
+        )
+        # the result holds only the survivors until asked for the full array
+        assert result.batch.array.shape == (23, NEURONS)
+        _assert_bitwise(result.activations, oracle[-1])
+        np.testing.assert_array_equal(
+            result.categories, reference_categories(network, dying_batch)
+        )
+        assert result.layer_density == [
+            np.count_nonzero(a) / a.size for a in oracle
+        ]
+        assert result.peak_activation_nnz == max(
+            [np.count_nonzero(dying_batch)] + [np.count_nonzero(a) for a in oracle]
+        )
+
+    def test_all_zero_batch_runs_no_kernel(self, network):
+        counting = _CountingBackend()
+        state = run_pipeline(
+            _layers(network), PipelineState.initial(np.zeros((8, NEURONS))),
+            threshold=network.threshold, backend=counting, record_timing=False,
+        )
+        assert counting.calls == {"spmm": 0, "transpose": 0}
+        result = state.result(backend=counting.name, policy=ActivationPolicy())
+        _assert_bitwise(result.activations, np.zeros((8, NEURONS)))
+        assert result.categories.size == 0
+        assert result.layer_density == [0.0] * LAYERS
+        assert result.layer_modes == ["dense"] * LAYERS
+
+    def test_zero_rows(self, network):
+        counting = _CountingBackend()
+        state = run_pipeline(
+            _layers(network), PipelineState.initial(np.zeros((0, NEURONS))),
+            threshold=network.threshold, backend=counting, record_timing=False,
+        )
+        assert counting.calls == {"spmm": 0, "transpose": 0}
+        result = state.result(backend=counting.name, policy=ActivationPolicy())
+        assert result.activations.shape == (0, NEURONS)
+        assert result.categories.size == 0
+        assert result.edges_traversed == 0
+
+    @pytest.mark.parametrize("policy", ["dense", "auto"])
+    def test_nonzero_rows_with_nonpositive_sums_are_kept(self, network, dying_batch, policy):
+        x = dying_batch.copy()
+        x[0] = 0.0
+        x[0, :2] = (1.0, -1.0)  # sum 0
+        for row in (1, 2, 3):
+            x[row, np.flatnonzero(x[row] == 0.0)[0]] = -(x[row].sum() + 1.0)  # sum -1
+        assert (x[:4].sum(axis=1) <= 0).all()
+        oracle = _uncompacted(_layers(network), x, network.threshold)
+        # without a bias these rows still reach the next layer
+        assert np.any(oracle[0][:4] != 0.0, axis=1).all()
+        result = InferenceEngine(network).run(x, activations=policy, record_timing=False)
+        _assert_bitwise(result.activations, oracle[-1])
+        np.testing.assert_array_equal(result.categories, reference_categories(network, x))
+
+    def test_auto_switches_dense_sparse_dense_on_a_compacted_batch(
+        self, network, dying_batch
+    ):
+        layers = _layers(network)
+        # a positive bias forces the dense path on a layer auto would run sparse
+        layers[6] = (layers[6][0], np.full(NEURONS, 0.01))
+        policy = ActivationPolicy(crossover_density=0.8, min_sparse_elements=0)
+        state = run_pipeline(
+            layers, PipelineState.initial(dying_batch), threshold=network.threshold,
+            policy=policy, record_timing=False,
+        )
+        assert state.layer_modes[2:8] == [
+            "dense", "dense", "dense", "sparse", "dense", "sparse"
+        ]
+        oracle = _uncompacted(layers, dying_batch, network.threshold)
+        _assert_bitwise(state.batch.to_array(), oracle[-1])
+        assert state.layer_density == [np.count_nonzero(a) / a.size for a in oracle]
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_checkpoint_after_rows_died_then_resume(
+        self, tmp_path, network, dying_batch, backend
+    ):
+        layers = _layers(network)
+        oracle = _uncompacted(layers, dying_batch, network.threshold, backend)
+        stage = CheckpointStage(
+            tmp_path, policy=ActivationPolicy(mode="dense"),
+            threshold=network.threshold, backend=backend, num_layers=LAYERS,
+        )
+        state = run_pipeline(
+            layers, PipelineState.initial(dying_batch), threshold=network.threshold,
+            backend=backend, policy="dense", record_timing=False,
+            checkpoint=stage, max_layers=7,
+        )
+        assert state.batch.array.shape[0] == _alive(oracle[6]) < 32
+        # the stored batch is the uncompacted run's array, header and bytes
+        expected = io.BytesIO()
+        np.lib.format.write_array(expected, oracle[6])
+        with zipfile.ZipFile(stage.path) as archive:
+            assert archive.read("batch_array.npy") == expected.getvalue()
+        ckpt = load_checkpoint(tmp_path)
+        resumed = run_pipeline(
+            layers[7:], ckpt.state, threshold=network.threshold, backend=backend,
+            policy="dense", record_timing=False,
+        )
+        result = resumed.result(backend=backend, policy=ActivationPolicy(mode="dense"))
+        _assert_bitwise(result.activations, oracle[-1])
+        np.testing.assert_array_equal(
+            result.categories, reference_categories(network, dying_batch)
+        )
+
+    @pytest.mark.parametrize("transport", ["serial", "process"])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_sharded_runs(self, net_dir, network, dying_batch, shards, transport):
+        oracle = _uncompacted(_layers(network), dying_batch, network.threshold)
+        outcome = run_challenge_pipeline(
+            net_dir, NEURONS, dying_batch, activations="dense",
+            record_timing=False, shards=shards, shard_transport=transport,
+        )
+        assert outcome.shards == shards
+        _assert_bitwise(outcome.result.activations, oracle[-1])
+        np.testing.assert_array_equal(
+            outcome.result.categories, reference_categories(network, dying_batch)
+        )
+
+    def test_sharded_step_keeps_the_row_ids_of_a_compacted_batch(
+        self, network, dying_batch
+    ):
+        layers = _layers(network)
+        state = run_pipeline(
+            layers, PipelineState.initial(dying_batch), threshold=network.threshold,
+            policy="dense", record_timing=False, max_layers=7,
+        )
+        row_ids = state.batch.row_ids
+        assert row_ids is not None and row_ids.size < 32
+        run_pipeline(
+            layers[7:], state, threshold=network.threshold, policy="dense",
+            record_timing=False, layout=ShardLayout.balanced(NEURONS, 3),
+        )
+        np.testing.assert_array_equal(state.batch.row_ids, row_ids)
+        oracle = _uncompacted(layers, dying_batch, network.threshold)
+        _assert_bitwise(state.batch.to_array(), oracle[-1])
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_serve_answers_unchanged(self, network, dying_batch, shards):
+        oracle = _uncompacted(_layers(network), dying_batch, network.threshold)
+        engine = ServingEngine.from_network(network, activations="dense", shards=shards)
+        _assert_bitwise(engine.step(dying_batch).activations, oracle[-1])
