@@ -71,7 +71,6 @@ from repro.challenge.pipeline import (
     run_challenge_pipeline,
 )
 from repro.experiments.scaling import graph_challenge_scaling
-from repro.parallel.pipeline import parallel_inference
 from repro.utils.timing import format_rss_mb, peak_rss_mb
 
 E2_NEURONS = int(os.environ.get("E2_NEURONS", "256"))
@@ -765,22 +764,4 @@ def test_e2_chunked_engine_matches_single_shot(benchmark, report_table):
             ["single-shot", batch.shape[0], single.categories.size, single.edges_traversed],
             [f"chunked ({max(1, E2_BATCH // 8)}/chunk)", batch.shape[0], chunked.categories.size, chunked.edges_traversed],
         ],
-    )
-
-
-def test_e2_batch_parallel_inference_matches_serial(benchmark, report_table):
-    """Batch-parallel execution is a pure partition: identical categories."""
-    network = generate_challenge_network(128, 16, connections=8, seed=3)
-    batch = challenge_input_batch(128, 96, seed=4)
-    serial = sparse_dnn_inference(network, batch, record_timing=False)
-
-    result = benchmark.pedantic(
-        parallel_inference, args=(network, batch), kwargs={"parts": 4}, rounds=3, iterations=1
-    )
-    assert list(result.categories) == list(serial.categories)
-
-    report_table(
-        "E2: batch-parallel vs serial inference",
-        ["mode", "batch", "categories"],
-        [["serial", batch.shape[0], serial.categories.size], ["parallel (4 parts)", batch.shape[0], result.categories.size]],
     )

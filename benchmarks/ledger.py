@@ -243,12 +243,12 @@ def _generation_metrics(cfg: dict) -> dict:
 
 def _serve_metrics(cfg: dict) -> dict:
     from repro.challenge.generator import generate_challenge_network
-    from repro.parallel import serve_worker_count
     from repro.serve import (
         ServingEngine,
         bench_serve,
         saturation_sweep,
         serve_in_background,
+        serve_worker_count,
     )
 
     network = generate_challenge_network(

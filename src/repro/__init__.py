@@ -10,7 +10,7 @@ It provides:
 * :mod:`repro.numeral` -- mixed-radix numeral systems (the combinatorial
   substrate of the construction).
 * :mod:`repro.sparse` -- a small sparse-matrix kernel library (COO/CSR,
-  SpGEMM, Kronecker products, semirings) used by the construction and the
+  SpGEMM, Kronecker products) used by the construction and the
   verification machinery.
 * :mod:`repro.backends` -- pluggable sparse-kernel backends behind every
   sparse operation: ``reference`` (pure NumPy/Python oracle), ``scipy``
@@ -36,7 +36,7 @@ It provides:
   behind request micro-batching (asyncio TCP front end, JSON-lines
   protocol, bundled load generator).
 * :mod:`repro.brain` -- brain-scale sizing of RadiX-Nets.
-* :mod:`repro.parallel` -- chunked/multiprocess execution helpers.
+* :mod:`repro.parallel` -- layer prefetch and tensor-parallel sharding.
 * :mod:`repro.analysis` -- topology comparison, diversity and spectra.
 * :mod:`repro.viz` -- text-mode rendering of topologies and heatmaps.
 

@@ -1,10 +1,9 @@
 """The scipy.sparse backend: compiled kernels behind the package's CSR type.
 
-This lifts the ``use_scipy`` fast path that used to live inline in
-``repro.sparse.ops.spgemm`` into a full backend.  All six kernels
-round-trip through ``scipy.sparse.csr_matrix`` views of the package's
-:class:`~repro.sparse.csr.CSRMatrix` buffers (no data copy on the way
-in), run the compiled scipy kernel, and re-canonicalize the result.
+The kernels round-trip through ``scipy.sparse.csr_matrix`` views of
+the package's :class:`~repro.sparse.csr.CSRMatrix` buffers (no data
+copy on the way in), run the compiled scipy kernel, and re-canonicalize
+the result.
 
 The module imports lazily: constructing the backend does not require
 scipy, only calling a kernel does, and registration is skipped entirely

@@ -15,7 +15,7 @@ RadiX-Net construction -- fully sparse and streaming, so the official
 :class:`~repro.challenge.inference.InferenceEngine` (backend-pluggable via
 :mod:`repro.backends`, with precomputed transposed weights, a dense/sparse
 :class:`~repro.challenge.inference.ActivationPolicy`, chunked mini-batch
-streaming, and optional process-pool fan-out), streams networks layer by
+streaming, and column sharding), streams networks layer by
 layer from disk (:func:`~repro.challenge.io.iter_challenge_layers` +
 :func:`~repro.challenge.inference.streaming_inference`), and round-trips
 the challenge's TSV interchange format with a binary ``.npz`` sidecar

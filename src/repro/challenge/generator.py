@@ -84,15 +84,6 @@ class ChallengeNetwork:
         """
         return self.topology.num_edges / (self.neurons * self.num_layers)
 
-    def __getstate__(self) -> dict:
-        # repro.challenge.inference.engine_for memoizes per-backend engines
-        # on the instance; each engine holds transposed copies of every
-        # weight matrix, so shipping them along (e.g. to process-pool
-        # workers) would multiply the pickle payload.  They rebuild lazily.
-        state = dict(self.__dict__)
-        state.pop("_engines", None)
-        return state
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"ChallengeNetwork(neurons={self.neurons}, layers={self.num_layers}, "

@@ -53,7 +53,8 @@ only for its categories and stats never holds the dead rows.
 sparse-kernel backend (see :mod:`repro.backends`), precomputes every
 layer's transposed weight matrix **once** at construction (the dense
 recurrence computes ``Y W`` as ``(W^T Y^T)^T``), and runs the recurrence
-single-shot, chunked, or fanned out across processes.
+single-shot, chunked by ``chunk_size`` (bounded memory), or sharded by
+output columns (``shards``).
 :func:`streaming_inference` runs the same recurrence over a *lazily
 produced* sequence of ``(weight, bias)`` layers (see
 :func:`repro.challenge.io.iter_challenge_layers`), so a network far
@@ -223,7 +224,7 @@ class DenseActivations:
 
     def step(
         self,
-        weight: CSRMatrix | None,
+        weight: CSRMatrix,
         weight_t: CSRMatrix | None,
         bias: np.ndarray,
         threshold: float,
@@ -232,8 +233,7 @@ class DenseActivations:
         y, row_ids, active = self._live()
         if y.shape[0] == 0:
             # nothing left alive: every later layer maps zeros to zeros
-            out = weight.shape[1] if weight is not None else weight_t.shape[0]
-            return DenseActivations(np.zeros((0, out)), row_ids, self.rows)
+            return DenseActivations(np.zeros((0, weight.shape[1])), row_ids, self.rows)
         if weight_t is None:
             weight_t = backend.transpose(weight)
         z = _dense_layer_step(y, weight_t, bias, threshold, backend, active)
@@ -293,7 +293,7 @@ class SparseActivations:
 
     def step(
         self,
-        weight: CSRMatrix | None,
+        weight: CSRMatrix,
         weight_t: CSRMatrix | None,
         bias: np.ndarray,
         threshold: float,
@@ -432,7 +432,6 @@ class InferenceEngine:
         inputs: np.ndarray,
         *,
         chunk_size: int | None = None,
-        workers: int | None = None,
         record_timing: bool = True,
         activations: str | ActivationPolicy | None = None,
         shards: int | None = None,
@@ -443,28 +442,22 @@ class InferenceEngine:
         many rows, bounding the peak size of intermediate activation
         buffers (each chunk's intermediates are released before the next
         chunk starts); the merged result is bit-identical to the
-        single-shot path.  ``workers`` additionally fans the chunks out
-        across a process pool (chunks are independent, so this is a pure
-        batch partition); per-layer timings are not collected on the
-        parallel path.  ``activations`` overrides the engine's default
+        single-shot path.  ``activations`` overrides the engine's default
         :class:`ActivationPolicy` for this call.  ``shards=K`` runs
         tensor-parallel over output-column ranges instead (see
         :mod:`repro.parallel.sharding`) -- in-process, single-shot, and
-        bit-identical to the unsharded run; it composes with neither
-        ``chunk_size`` nor ``workers``.
+        bit-identical to the unsharded run; it does not compose with
+        ``chunk_size``.
         """
         y = self._validate_inputs(inputs)
         policy = self._resolve_policy(activations)
-        batch = y.shape[0]
         if chunk_size is not None and chunk_size < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if workers is not None and workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
         if shards is not None:
-            if chunk_size is not None or workers is not None:
+            if chunk_size is not None:
                 raise ValidationError(
                     "shards (tensor-parallel) does not compose with "
-                    "chunk_size/workers (batch-parallel); pick one axis"
+                    "chunk_size; pick one axis"
                 )
             from repro.parallel.sharding import ShardLayout
 
@@ -472,22 +465,8 @@ class InferenceEngine:
             return self._run_block(
                 y, record_timing=record_timing, policy=policy, layout=layout
             )
-        if batch == 0:
+        if chunk_size is None or y.shape[0] <= chunk_size:
             return self._run_block(y, record_timing=record_timing, policy=policy)
-        if chunk_size is None:
-            if workers is None or workers == 1:
-                return self._run_block(y, record_timing=record_timing, policy=policy)
-            # floor, not ceil: ceil(batch/workers) can yield fewer chunks
-            # than workers (batch=9, workers=4 -> 3 chunks of 3), idling a
-            # worker; floor gives at least `workers` chunks when batch
-            # allows, and the pool queue balances the remainder
-            chunk_size = max(1, batch // workers)
-        if batch <= chunk_size:
-            # a single chunk: run it in-process; fanning one task out to a
-            # pool would only add spawn/pickle overhead
-            return self._run_block(y, record_timing=record_timing, policy=policy)
-        if workers is not None and workers > 1:
-            return self._run_parallel(y, chunk_size, workers, policy)
         layer_seconds = [0.0] * self.network.num_layers
         activations_out: list[np.ndarray] = []
         categories: list[np.ndarray] = []
@@ -593,42 +572,6 @@ class InferenceEngine:
         )
         return state.result(backend=self.backend.name, policy=policy)
 
-    def _run_parallel(
-        self, y: np.ndarray, chunk_size: int, workers: int, policy: ActivationPolicy
-    ) -> InferenceResult:
-        from repro.parallel.executor import parallel_map
-
-        chunks = [y[offset : offset + chunk_size] for offset in range(0, y.shape[0], chunk_size)]
-        # Ship only what the recurrence needs -- not the whole engine,
-        # whose network would add the original weights and topology to
-        # every task's pickle.  A dense-only policy never touches the
-        # untransposed weights and a sparse-only policy never touches the
-        # transposes, so drop whichever the policy cannot use.
-        weights = None if policy.mode == DENSE else self.network.weights
-        weights_t = None if policy.mode == SPARSE else self.weights_t
-        model = (
-            weights,
-            weights_t,
-            self.network.biases,
-            self.network.threshold,
-            self.backend,
-            policy,
-        )
-        tasks = [(model, chunk) for chunk in chunks]
-        outputs = parallel_map(
-            _engine_chunk_worker, tasks, workers=workers, min_items_for_parallel=2
-        )
-        activations = [o[0] for o in outputs]
-        categories = []
-        offset = 0
-        for chunk, (_, cats, _) in zip(chunks, outputs):
-            categories.append(cats + offset)
-            offset += chunk.shape[0]
-        peak_nnz = max((o[2] for o in outputs), default=0)
-        return self._merged_result(
-            activations, categories, [], y.shape[0], policy, peak_nnz
-        )
-
     def _merged_result(
         self,
         activations: list[np.ndarray],
@@ -640,7 +583,7 @@ class InferenceEngine:
     ) -> InferenceResult:
         """Assemble per-chunk outputs (categories already offset) into one result.
 
-        Chunks run one at a time (or one per worker), so the reported
+        Chunks run one at a time, so the reported
         peak activation nnz is the maximum over chunks, not their sum;
         per-layer modes/densities are chunk-local and therefore omitted.
         """
@@ -665,34 +608,6 @@ class InferenceEngine:
             f"InferenceEngine(network={self.network!r}, "
             f"backend={self.backend.name!r})"
         )
-
-
-def _engine_chunk_worker(task) -> tuple[np.ndarray, np.ndarray, int]:
-    """Process-pool worker: run one chunk through the recurrence.
-
-    The model bundle (weights, transposed weights, biases, threshold,
-    backend, policy) rides along in the task tuple (CSR matrices,
-    backends, and policies pickle cleanly) so the worker is independent
-    of process start method and of module-level state.
-    """
-    from repro.challenge.pipeline import PipelineState, run_pipeline
-
-    (weights, weights_t, biases, threshold, backend, policy), y = task
-    n = len(biases)
-    layers = zip(
-        weights if weights is not None else (None,) * n,
-        weights_t if weights_t is not None else (None,) * n,
-        biases,
-    )
-    state = run_pipeline(
-        layers,
-        PipelineState.initial(y),
-        threshold=threshold,
-        backend=backend,
-        policy=policy,
-        record_timing=False,
-    )
-    return state.batch.to_array(), state.batch.categories(), state.peak_nnz
 
 
 def streaming_inference(
@@ -773,7 +688,6 @@ def sparse_dnn_inference(
     record_timing: bool = True,
     backend: str | SparseBackend | None = None,
     chunk_size: int | None = None,
-    workers: int | None = None,
     activations: str | ActivationPolicy | None = None,
     shards: int | None = None,
 ) -> InferenceResult:
@@ -784,7 +698,7 @@ def sparse_dnn_inference(
     converts it to CSR and keeps it sparse through the layers.
 
     This is the stable functional front end of :class:`InferenceEngine`;
-    see :meth:`InferenceEngine.run` for the ``chunk_size`` / ``workers`` /
+    see :meth:`InferenceEngine.run` for the ``chunk_size`` /
     ``activations`` / ``shards`` semantics.  ``edges_traversed`` is the
     Graph Challenge convention: total stored weight entries across
     layers, times the batch size.
@@ -792,7 +706,6 @@ def sparse_dnn_inference(
     return engine_for(network, backend).run(
         inputs,
         chunk_size=chunk_size,
-        workers=workers,
         record_timing=record_timing,
         activations=activations,
         shards=shards,

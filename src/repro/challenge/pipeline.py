@@ -25,10 +25,9 @@ decomposes one run into three explicit stages:
   restarting.
 
 :func:`run_pipeline` is the **single** recurrence implementation:
-:meth:`repro.challenge.inference.InferenceEngine.run`/``stream``, the
-process-pool chunk workers, and
-:func:`repro.challenge.inference.streaming_inference` are all thin
-drivers over it.  :func:`run_challenge_pipeline` /
+:meth:`repro.challenge.inference.InferenceEngine.run`/``stream`` and
+:func:`repro.challenge.inference.streaming_inference` are thin drivers
+over it.  :func:`run_challenge_pipeline` /
 :func:`resume_challenge_pipeline` are the disk-backed drivers used by
 ``repro challenge run``: they stream a saved network directory through
 the stages, seek back to the checkpointed layer via
@@ -67,7 +66,7 @@ CHECKPOINT_NAME = "pipeline-checkpoint.npz"
 
 # a layer as the compute stage consumes it; either of weight / weight_t
 # may be None (see ComputeStage.advance)
-LayerTriple = tuple[CSRMatrix | None, CSRMatrix | None, np.ndarray]
+LayerTriple = tuple[CSRMatrix, CSRMatrix | None, np.ndarray]
 
 
 # --------------------------------------------------------------------------- #
@@ -363,22 +362,16 @@ class ComputeStage:
     def advance(
         self,
         state: PipelineState,
-        weight: CSRMatrix | None,
+        weight: CSRMatrix,
         weight_t: CSRMatrix | None,
         bias: np.ndarray,
     ) -> None:
-        """Apply one layer.  Either of ``weight`` / ``weight_t`` may be
-        ``None``: the dense path transposes on demand when only ``weight``
-        is present, and the sparse path (which needs the untransposed
-        ``weight``) falls back to dense when only ``weight_t`` is."""
-        ref = weight if weight is not None else weight_t
-        if ref is None:
-            raise ValidationError("each layer needs a weight or transposed weight")
+        """Apply one layer.  ``weight_t`` may be ``None``: the dense path
+        then transposes on demand."""
         self._advance(
             state,
-            in_size=ref.shape[0] if weight is not None else ref.shape[1],
-            nnz=ref.nnz,
-            has_weight=weight is not None,
+            in_size=weight.shape[0],
+            nnz=weight.nnz,
             any_positive_bias=bool(np.any(bias > 0.0)),
             step=lambda batch, target: batch.step(
                 weight, weight_t, bias, self.threshold, self.backend
@@ -391,7 +384,6 @@ class ComputeStage:
         *,
         in_size: int,
         nnz: int,
-        has_weight: bool,
         any_positive_bias: bool,
         step,
     ) -> None:
@@ -410,10 +402,8 @@ class ComputeStage:
             )
         state.edges_per_sample += nnz
         target = self.policy.pick(density=batch.density(), elements=batch.elements)
-        if target == SPARSE and (
-            state.rows == 0 or not has_weight or any_positive_bias
-        ):
-            if self.policy.mode == SPARSE and state.rows > 0 and has_weight:
+        if target == SPARSE and (state.rows == 0 or any_positive_bias):
+            if self.policy.mode == SPARSE and state.rows > 0:
                 raise ValidationError(
                     "sparse activation policy requires non-positive biases "
                     "(a positive bias activates entries outside the sparse "

@@ -30,8 +30,8 @@ count for numba, and -- with ``--probe`` -- the per-tier fused-kernel
 timing behind ``auto``.  Naming a backend that is unknown or not
 installed exits 2 (argument-error convention) with a one-line message
 listing the available backends.  ``challenge`` additionally
-accepts ``--chunk-size`` / ``--workers`` for chunked or process-parallel
-batched inference, and ``--activations {auto,dense,sparse}`` /
+accepts ``--chunk-size`` for chunked (bounded-memory) batched
+inference, and ``--activations {auto,dense,sparse}`` /
 ``--sparse-crossover`` to pick the activation storage policy (CSR
 activation batches via SpGEMM vs. dense buffers via SpMM; see
 :class:`repro.challenge.inference.ActivationPolicy`).  ``challenge
@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     challenge.add_argument("--seed", type=int, default=0)
     challenge.add_argument("--backend", default=None, help="sparse backend for the inference kernels (see `backends`)")
     challenge.add_argument("--chunk-size", type=int, default=None, help="mini-batch rows per chunk (bounds peak memory)")
-    challenge.add_argument("--workers", type=int, default=None, help="process-pool fan-out across chunks")
     challenge.add_argument("--activations", choices=["auto", "dense", "sparse"], default="auto",
                            help="activation storage policy: dense SpMM buffers, CSR SpGEMM batches, or per-layer auto crossover")
     challenge.add_argument("--sparse-crossover", type=float, default=None, metavar="DENSITY",
@@ -270,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="row budget per coalesced engine step (default 64)")
     challenge_serve.add_argument("--max-wait-ms", type=float, default=2.0, metavar="T",
                                  help="how long an open micro-batch waits for more rows (default 2ms)")
-    # SUPPRESS: the parent `challenge` parser also defines --workers (its
-    # process-pool fan-out); here it means batcher worker threads
-    challenge_serve.add_argument("--workers", type=int, default=argparse.SUPPRESS,
+    challenge_serve.add_argument("--workers", type=int, default=None,
                                  metavar="N",
                                  help="batcher worker threads draining the request queue "
                                  "(default min(cpu_count, 4))")
@@ -486,15 +483,10 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
     )
     batch = challenge_input_batch(args.neurons, args.batch, seed=args.seed + 1)
     engine = engine_for(network, args.backend)
-    result = engine.run(
-        batch, chunk_size=args.chunk_size, workers=args.workers, activations=policy
-    )
+    result = engine.run(batch, chunk_size=args.chunk_size, activations=policy)
     print(f"network: {network!r}")
     print(f"backend: {result.backend}")
-    if result.layer_seconds:
-        print(f"inference: {result.total_seconds:.4f}s, {result.edges_per_second:,.0f} edges/s")
-    else:  # parallel fan-out does not collect per-layer timings
-        print(f"inference: {result.edges_traversed:,} edges traversed (parallel run; per-layer timing off)")
+    print(f"inference: {result.total_seconds:.4f}s, {result.edges_per_second:,.0f} edges/s")
     print(f"activations: policy {result.activation_policy}, "
           f"peak nnz {result.peak_activation_nnz:,} "
           f"(dense buffer would hold {args.batch * args.neurons:,})")

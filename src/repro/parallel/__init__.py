@@ -1,43 +1,21 @@
-"""Parallel and chunked execution helpers.
+"""Parallel execution helpers.
 
-Large RadiX-Net instances (Graph Challenge style inference over many
-layers, parameter sweeps over many specifications) parallelize naturally
-over either the *batch* dimension (inference) or the *configuration*
-dimension (sweeps).  This subpackage provides:
+Batch rows already parallelize in the serving stack (batcher worker
+threads and process replicas, :mod:`repro.serve`); this subpackage
+holds the other two pieces:
 
-* :func:`chunked` / :func:`partition_batch` -- deterministic partitioning
-  helpers;
-* :func:`parallel_map` -- process-pool map with a serial fallback,
-  safe to call from tests and benchmarks (falls back automatically when a
-  pool cannot be created, e.g. in restricted sandboxes);
-* :func:`parallel_inference` -- batch-parallel Graph Challenge inference;
 * :class:`Prefetcher` / :func:`prefetched` -- bounded background-thread
   producer/consumer, the overlap primitive of the staged streaming
   pipelines (:mod:`repro.challenge.pipeline`);
 * :mod:`repro.parallel.sharding` -- tensor-parallel column sharding of
   the challenge recurrence (``repro challenge run --shards K``): shard
   layouts, CSR slice/all-gather primitives, the sharded compute stage,
-  and the resident-shard worker pool.
+  and the resident-shard worker pool, partitioned by
+  :func:`balanced_chunk_sizes` / :func:`partition_ranges`.
 """
 
-from repro.parallel.executor import (
-    effective_worker_count,
-    parallel_map,
-    serial_map,
-    serve_worker_count,
-)
-from repro.parallel.partition import (
-    balanced_chunk_sizes,
-    chunked,
-    partition_batch,
-    partition_ranges,
-)
-from repro.parallel.pipeline import (
-    Prefetcher,
-    parallel_inference,
-    prefetched,
-    sweep_specs,
-)
+from repro.parallel.partition import balanced_chunk_sizes, partition_ranges
+from repro.parallel.pipeline import Prefetcher, prefetched
 from repro.parallel.sharding import (
     ShardedComputeStage,
     ShardedLayer,
@@ -51,16 +29,8 @@ from repro.parallel.sharding import (
 )
 
 __all__ = [
-    "parallel_map",
-    "serial_map",
-    "effective_worker_count",
-    "serve_worker_count",
-    "chunked",
-    "partition_batch",
     "partition_ranges",
     "balanced_chunk_sizes",
-    "parallel_inference",
-    "sweep_specs",
     "Prefetcher",
     "prefetched",
     "ShardLayout",

@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import TypeVar
-
-import numpy as np
-
 from repro.errors import ValidationError
-
-T = TypeVar("T")
 
 
 def balanced_chunk_sizes(total: int, parts: int) -> list[int]:
@@ -47,26 +40,3 @@ def partition_ranges(total: int, parts: int) -> list[tuple[int, int]]:
             ranges.append((start, start + size))
         start += size
     return ranges
-
-
-def chunked(items: Sequence[T], parts: int) -> list[list[T]]:
-    """Partition a sequence into ``parts`` balanced contiguous chunks (may be empty)."""
-    sizes = balanced_chunk_sizes(len(items), parts)
-    chunks: list[list[T]] = []
-    start = 0
-    for size in sizes:
-        chunks.append(list(items[start : start + size]))
-        start += size
-    return chunks
-
-
-def partition_batch(batch: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Partition the rows of a 2-D batch into balanced contiguous sub-batches.
-
-    Empty sub-batches are dropped so downstream kernels never see
-    zero-row inputs.
-    """
-    arr = np.asarray(batch)
-    if arr.ndim != 2:
-        raise ValidationError("batch must be 2-D (samples, features)")
-    return [arr[start:stop] for start, stop in partition_ranges(arr.shape[0], parts)]

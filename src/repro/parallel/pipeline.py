@@ -1,37 +1,20 @@
-"""Parallel experiment pipelines and bounded producer/consumer primitives.
+"""Bounded producer/consumer prefetch for the staged streaming pipelines.
 
-Coarse-grained parallel workloads used by the benchmarks:
-
-* :func:`parallel_inference` -- Graph Challenge inference with the input
-  batch partitioned across workers (the recurrence is independent per
-  input row, so this is embarrassingly parallel and reproduces the
-  batch-parallel strategy of real challenge submissions);
-* :func:`sweep_specs` -- evaluate a function over many RadiX-Net
-  specifications (density sweeps, diversity counts) in parallel.
-
-Plus the generic building block of the staged streaming pipelines:
-
-* :class:`Prefetcher` / :func:`prefetched` -- iterate any source on a
-  background thread through a bounded queue, so a consumer's compute
-  overlaps the producer's I/O (layer ``l+1`` is parsed from disk while
-  layer ``l`` multiplies).  This is what
-  :class:`repro.challenge.pipeline.LoadStage` builds on.
+:class:`Prefetcher` / :func:`prefetched` iterate any source on a
+background thread through a bounded queue, so a consumer's compute
+overlaps the producer's I/O (layer ``l+1`` is parsed from disk while
+layer ``l`` multiplies).  This is what
+:class:`repro.challenge.pipeline.LoadStage` builds on.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import Any, TypeVar
 
-import numpy as np
-
-from repro.backends.base import SparseBackend
-from repro.challenge.generator import ChallengeNetwork
-from repro.challenge.inference import InferenceResult, engine_for
 from repro.errors import ValidationError
-from repro.parallel.executor import effective_worker_count, parallel_map
 
 T = TypeVar("T")
 
@@ -155,48 +138,3 @@ def prefetched(source: Iterable[T], depth: int) -> Iterator[T]:
     if depth == 0:
         return iter(source)
     return Prefetcher(source, depth=depth)
-
-
-def parallel_inference(
-    network: ChallengeNetwork,
-    inputs: np.ndarray,
-    *,
-    workers: int | None = None,
-    parts: int | None = None,
-    backend: str | SparseBackend | None = None,
-) -> InferenceResult:
-    """Batch-parallel Graph Challenge inference.
-
-    The batch is split into ``parts`` chunks (default: one per worker) and
-    each chunk runs the full layer recurrence independently; category
-    indices are re-offset into the original batch numbering and merged.
-    This is a thin front end over
-    :meth:`repro.challenge.inference.InferenceEngine.run`, which owns the
-    chunking and the process-pool fan-out (with the usual transparent
-    serial fallback of :func:`repro.parallel.executor.parallel_map`).
-    """
-    batch = np.asarray(inputs, dtype=np.float64)
-    worker_count = effective_worker_count(workers)
-    # Only an explicit `parts` pins the chunk size; otherwise the engine
-    # derives a worker-balanced split itself.
-    chunk_size = max(1, batch.shape[0] // parts) if parts and batch.shape[0] else None
-    return engine_for(network, backend).run(
-        batch,
-        chunk_size=chunk_size,
-        workers=worker_count,
-        record_timing=False,
-    )
-
-
-def sweep_specs(
-    evaluate: Callable[[Any], Any],
-    specs: Sequence[Any],
-    *,
-    workers: int | None = None,
-) -> list[Any]:
-    """Evaluate ``evaluate(spec)`` for every spec, in parallel when worthwhile.
-
-    ``evaluate`` must be a picklable module-level function for the parallel
-    path to engage; otherwise the serial fallback is used.
-    """
-    return parallel_map(evaluate, list(specs), workers=workers)

@@ -187,22 +187,21 @@ class ShardedLayer:
     """One layer's ``(weight, weight_t, bias)`` cut into column-range slices.
 
     ``shards[k]`` holds shard ``k``'s ``(weight_slice, weight_t_slice,
-    bias_slice)``; either matrix slice may be ``None`` when the source
-    layer lacked that form (mirroring
+    bias_slice)``; the transposed slice is ``None`` when the source layer
+    had no transpose (mirroring
     :meth:`repro.challenge.pipeline.ComputeStage.advance`).  The summary
     fields carry what the policy/stats bookkeeping needs about the *full*
     layer.
     """
 
-    shards: tuple[tuple[CSRMatrix | None, CSRMatrix | None, np.ndarray], ...]
+    shards: tuple[tuple[CSRMatrix, CSRMatrix | None, np.ndarray], ...]
     in_size: int
     nnz: int
-    has_weight: bool
     any_positive_bias: bool
 
 
 def shard_layer(
-    weight: CSRMatrix | None,
+    weight: CSRMatrix,
     weight_t: CSRMatrix | None,
     bias: np.ndarray,
     layout: ShardLayout,
@@ -215,11 +214,7 @@ def shard_layer(
     entries.  Column slicing partitions the stored entries, so the shard
     ``nnz`` values sum to the full layer's.
     """
-    ref = weight if weight is not None else weight_t
-    if ref is None:
-        raise ValidationError("each layer needs a weight or transposed weight")
-    out_size = ref.shape[1] if weight is not None else ref.shape[0]
-    in_size = ref.shape[0] if weight is not None else ref.shape[1]
+    in_size, out_size = weight.shape
     if out_size != layout.neurons:
         raise ShapeError(
             f"shard layout covers {layout.neurons} output neurons, "
@@ -232,7 +227,7 @@ def shard_layer(
         )
     shards = tuple(
         (
-            slice_csr_columns(weight, start, stop) if weight is not None else None,
+            slice_csr_columns(weight, start, stop),
             slice_csr_rows(weight_t, start, stop) if weight_t is not None else None,
             bias[start:stop],
         )
@@ -241,8 +236,7 @@ def shard_layer(
     return ShardedLayer(
         shards=shards,
         in_size=in_size,
-        nnz=ref.nnz,
-        has_weight=weight is not None,
+        nnz=weight.nnz,
         any_positive_bias=bool(np.any(bias > 0.0)),
     )
 
@@ -335,7 +329,7 @@ class ShardedComputeStage(ComputeStage):
     def advance(
         self,
         state: PipelineState,
-        weight: CSRMatrix | None,
+        weight: CSRMatrix,
         weight_t: CSRMatrix | None,
         bias: np.ndarray,
     ) -> None:
@@ -348,7 +342,6 @@ class ShardedComputeStage(ComputeStage):
             state,
             in_size=sharded.in_size,
             nnz=sharded.nnz,
-            has_weight=sharded.has_weight,
             any_positive_bias=sharded.any_positive_bias,
             step=lambda batch, target: _sharded_batch_step(
                 batch, sharded, target, self.threshold, self.backend
@@ -391,7 +384,6 @@ class ShardedComputeStage(ComputeStage):
             state,
             in_size=in_size,
             nnz=nnz,
-            has_weight=True,
             any_positive_bias=any_positive_bias,
             step=step,
         )

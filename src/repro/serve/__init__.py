@@ -35,7 +35,12 @@ processes (``--max-restarts``) and drives zero-drop rolling restarts
 via ``drain``.
 """
 
-from repro.serve.app import ServeApp, ServerHandle, serve_in_background
+from repro.serve.app import (
+    ServeApp,
+    ServerHandle,
+    serve_in_background,
+    serve_worker_count,
+)
 from repro.serve.balancer import (
     BalancerHandle,
     FleetHandle,
@@ -95,4 +100,5 @@ __all__ = [
     "serve_balancer_in_background",
     "serve_fleet_in_background",
     "serve_in_background",
+    "serve_worker_count",
 ]

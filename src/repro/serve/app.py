@@ -31,16 +31,34 @@ request that was accepted is ever dropped.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 from typing import Any, Callable
 
-from repro.errors import ReproError, ServeError
-from repro.parallel.executor import serve_worker_count
+from repro.errors import ReproError, ServeError, ValidationError
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.serve.controller import AdaptiveBatchController
 from repro.serve.engine import ServingEngine
 from repro.utils.clock import Clock
+
+
+def serve_worker_count(requested: int | None = None) -> int:
+    """Batcher worker threads for the serve path: requested, else
+    ``min(cpu_count, 4)``.
+
+    No core is reserved for the parent: the serve front end is an
+    asyncio loop that spends its life parked on sockets, and the batcher
+    workers release the GIL inside the kernels.  Capped at 4 -- engine
+    steps are memory-bandwidth-bound, so piling every core of a large
+    machine onto one queue stops paying for the extra coordination well
+    before then.
+    """
+    if requested is not None:
+        if requested < 1:
+            raise ValidationError("worker count must be >= 1")
+        return int(requested)
+    return min(os.cpu_count() or 1, 4)
 
 
 class ServeApp:

@@ -2,8 +2,8 @@
 
 The RadiX-Net construction and its verification only need a handful of
 sparse operations -- Kronecker products, sparse-sparse matrix multiply
-(SpGEMM), sparse-dense multiply (SpMM), transposition, and semiring
-variants of matmul for path counting / reachability.  This subpackage
+(SpGEMM, whose chain products count paths), sparse-dense multiply
+(SpMM), and transposition.  This subpackage
 implements them on top of NumPy with explicit CSR/COO containers, plus
 adapters to and from ``scipy.sparse`` and dense arrays.
 
@@ -25,7 +25,6 @@ from repro.sparse.ops import (
     matrix_power,
     chain_product,
 )
-from repro.sparse.semiring import Semiring, PLUS_TIMES, OR_AND, MIN_PLUS, semiring_spgemm
 from repro.sparse.convert import (
     to_scipy_csr,
     from_scipy,
@@ -46,11 +45,6 @@ __all__ = [
     "sparse_add",
     "matrix_power",
     "chain_product",
-    "Semiring",
-    "PLUS_TIMES",
-    "OR_AND",
-    "MIN_PLUS",
-    "semiring_spgemm",
     "to_scipy_csr",
     "from_scipy",
     "to_dense",

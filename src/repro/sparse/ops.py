@@ -26,7 +26,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backends import available_backends, resolve_backend as _resolve
+from repro.backends import resolve_backend as _resolve
 from repro.backends.base import SparseBackend
 from repro.backends.fused import (
     clamp_bias_filter as _clamp_bias_filter,
@@ -45,32 +45,10 @@ def _check_matmul_shapes(a: CSRMatrix, b: CSRMatrix) -> None:
 
 
 def spgemm(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    *,
-    use_scipy: bool | None = None,
-    backend: str | SparseBackend | None = None,
+    a: CSRMatrix, b: CSRMatrix, *, backend: str | SparseBackend | None = None
 ) -> CSRMatrix:
-    """Sparse-sparse matrix multiply ``a @ b`` over the (+, *) semiring.
-
-    Parameters
-    ----------
-    use_scipy:
-        Back-compat switch predating the backend registry: ``True``
-        selects the ``scipy`` backend (falling back to ``reference``
-        when scipy is not installed, as the pre-registry code did),
-        ``False`` forces ``reference`` (the row-merge oracle).  Leave
-        as ``None`` (default) to use the active backend.
-    backend:
-        Explicit backend name or instance for this call only; overrides
-        ``use_scipy``.
-    """
+    """Sparse-sparse matrix multiply ``a @ b`` over the (+, *) semiring."""
     _check_matmul_shapes(a, b)
-    if backend is None and use_scipy is not None:
-        if use_scipy and "scipy" in available_backends():
-            backend = "scipy"
-        else:
-            backend = "reference"
     return _resolve(backend).spgemm(a, b)
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.errors import TopologyError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import chain_product
-from repro.sparse.semiring import OR_AND, semiring_chain_product
+from repro.sparse.ops import chain_product, spgemm
 from repro.topology.fnnt import FNNT
 
 
@@ -40,13 +39,16 @@ def path_count_matrix(topology: FNNT) -> CSRMatrix:
 def is_path_connected(topology: FNNT, *, use_boolean: bool = False) -> bool:
     """Check path-connectedness.
 
-    With ``use_boolean=True`` the reachability is computed over the OR-AND
-    semiring, which avoids forming potentially astronomically large path
-    counts for very deep topologies; the default arithmetic product is
-    faster for the sizes used in tests and benchmarks.
+    With ``use_boolean=True`` the chain product is reset to 0/1 after
+    every step, which avoids forming potentially astronomically large
+    path counts for very deep topologies.  The submatrices are 0/1, so
+    no entry can cancel and the pattern is exactly the reachability
+    relation.
     """
     if use_boolean:
-        reach = semiring_chain_product(list(topology.submatrices), OR_AND)
+        reach, *rest = topology.submatrices
+        for m in rest:
+            reach = spgemm(reach, m).astype_binary()
         return reach.nnz == reach.shape[0] * reach.shape[1]
     counts = path_count_matrix(topology)
     return counts.nnz == counts.shape[0] * counts.shape[1]

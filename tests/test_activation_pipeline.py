@@ -198,17 +198,14 @@ class TestPolicyParity:
         )
         assert result.layer_modes == ["dense"] * 3
 
-    def test_chunked_and_parallel_sparse_match_single_shot(self):
+    def test_chunked_sparse_matches_single_shot(self):
         network = generate_challenge_network(32, 6, connections=4, seed=17)
         batch = challenge_input_batch(32, 24, seed=18)
         engine = InferenceEngine(network)
         single = engine.run(batch, activations="sparse", record_timing=False)
         chunked = engine.run(batch, chunk_size=5, activations="sparse")
-        parallel = engine.run(batch, chunk_size=6, workers=2, activations="sparse")
         np.testing.assert_array_equal(single.categories, chunked.categories)
-        np.testing.assert_array_equal(single.categories, parallel.categories)
         np.testing.assert_allclose(single.activations, chunked.activations, atol=1e-9)
-        np.testing.assert_allclose(single.activations, parallel.activations, atol=1e-9)
         assert chunked.peak_activation_nnz <= single.peak_activation_nnz
 
     def test_sparse_policy_rejects_positive_bias(self):

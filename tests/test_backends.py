@@ -4,9 +4,11 @@ The contract of :mod:`repro.backends` is that every registered backend
 computes the same six kernels; this suite pins that down by comparing
 ``reference``, ``scipy``, and ``vectorized`` on random matrices and on
 actual RadiX-Net adjacency submatrices, and checks that the
-:class:`~repro.challenge.inference.InferenceEngine` chunked/parallel
-paths are bit-identical to single-shot inference.
+:class:`~repro.challenge.inference.InferenceEngine` chunked path is
+bit-identical to single-shot inference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,21 +473,35 @@ class TestInferenceEngine:
         assert np.array_equal(chunked.categories, single.categories)
         assert chunked.edges_traversed == single.edges_traversed
 
+    def test_chunked_bounds_peak_memory(self):
+        # the reason chunk_size exists: one chunk's intermediates live at
+        # a time, so the traced peak drops well below the single-shot one
+        network = generate_challenge_network(256, 8, seed=0)
+        inputs = challenge_input_batch(256, 256, seed=1)
+        engine = InferenceEngine(network)
+
+        def traced_peak(**kwargs):
+            engine.run(inputs, activations="dense", **kwargs)  # warm-up
+            tracemalloc.start()
+            try:
+                result = engine.run(inputs, activations="dense", **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, result
+
+        single_peak, single = traced_peak()
+        chunked_peak, chunked = traced_peak(chunk_size=inputs.shape[0] // 4)
+        assert chunked_peak <= 0.8 * single_peak
+        assert (chunked.activations == single.activations).all()
+        assert np.array_equal(chunked.categories, single.categories)
+
     def test_chunked_matches_functional_api(self):
         network, inputs = self.network_and_batch()
         single = sparse_dnn_inference(network, inputs)
         chunked = sparse_dnn_inference(network, inputs, chunk_size=6)
         assert (chunked.activations == single.activations).all()
         assert np.array_equal(chunked.categories, single.categories)
-
-    def test_parallel_workers_match_serial(self):
-        network, inputs = self.network_and_batch()
-        engine = InferenceEngine(network)
-        serial = engine.run(inputs)
-        parallel = engine.run(inputs, workers=2)
-        assert (parallel.activations == serial.activations).all()
-        assert np.array_equal(parallel.categories, serial.categories)
-        assert parallel.edges_traversed == serial.edges_traversed
 
     def test_stream_is_chunk_local_with_offsets(self):
         network, inputs = self.network_and_batch(batch=10)

@@ -1,6 +1,5 @@
 """Tests for repro.brain and repro.parallel."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -11,11 +10,7 @@ from repro.brain.sizing import (
     instantiate_scaled,
     size_radixnet_for_target,
 )
-from repro.challenge.generator import challenge_input_batch, generate_challenge_network
-from repro.challenge.inference import sparse_dnn_inference
-from repro.parallel.executor import effective_worker_count, parallel_map, serial_map
-from repro.parallel.partition import balanced_chunk_sizes, chunked, partition_batch
-from repro.parallel.pipeline import parallel_inference, sweep_specs
+from repro.parallel.partition import balanced_chunk_sizes, partition_ranges
 
 
 class TestBrainTargets:
@@ -79,31 +74,6 @@ class TestInstantiateScaled:
             instantiate_scaled(sizing, scale=2.0)
 
 
-def _square(x):
-    return x * x
-
-
-class TestExecutor:
-    def test_serial_map(self):
-        assert serial_map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_parallel_map_small_input_uses_serial(self):
-        assert parallel_map(_square, [1, 2], min_items_for_parallel=4) == [1, 4]
-
-    def test_parallel_map_matches_serial(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=2) == [x * x for x in items]
-
-    def test_parallel_map_single_worker(self):
-        assert parallel_map(_square, list(range(10)), workers=1) == [x * x for x in range(10)]
-
-    def test_effective_worker_count(self):
-        assert effective_worker_count(3) == 3
-        assert effective_worker_count() >= 1
-        with pytest.raises(ValidationError):
-            effective_worker_count(0)
-
-
 class TestPartition:
     def test_balanced_chunk_sizes(self):
         assert balanced_chunk_sizes(10, 3) == [4, 3, 3]
@@ -116,44 +86,9 @@ class TestPartition:
         with pytest.raises(ValidationError):
             balanced_chunk_sizes(5, 0)
 
-    def test_chunked_preserves_order(self):
-        chunks = chunked(list(range(7)), 3)
-        assert chunks == [[0, 1, 2], [3, 4], [5, 6]]
-        assert sum(chunks, []) == list(range(7))
-
-    def test_partition_batch(self):
-        batch = np.arange(20).reshape(10, 2).astype(float)
-        pieces = partition_batch(batch, 3)
-        assert sum(p.shape[0] for p in pieces) == 10
-        np.testing.assert_array_equal(np.concatenate(pieces), batch)
-
-    def test_partition_batch_drops_empty(self):
-        pieces = partition_batch(np.zeros((2, 3)), 5)
-        assert len(pieces) == 2
-
-    def test_partition_batch_rejects_1d(self):
-        with pytest.raises(ValidationError):
-            partition_batch(np.zeros(5), 2)
-
-
-class TestParallelInference:
-    def test_matches_serial_inference(self):
-        network = generate_challenge_network(16, 4, connections=4, seed=0)
-        batch = challenge_input_batch(16, 12, seed=1)
-        serial = sparse_dnn_inference(network, batch)
-        parallel = parallel_inference(network, batch, parts=3, workers=2)
-        np.testing.assert_allclose(parallel.activations, serial.activations)
-        np.testing.assert_array_equal(parallel.categories, serial.categories)
-        assert parallel.edges_traversed == serial.edges_traversed
-
-    def test_single_part(self):
-        network = generate_challenge_network(8, 2, connections=2, seed=2)
-        batch = challenge_input_batch(8, 4, seed=3)
-        result = parallel_inference(network, batch, parts=1)
-        np.testing.assert_array_equal(
-            result.categories, sparse_dnn_inference(network, batch).categories
-        )
-
-    def test_sweep_specs(self):
-        results = sweep_specs(_square, [1, 2, 3, 4, 5])
-        assert results == [1, 4, 9, 16, 25]
+    @pytest.mark.parametrize("total,parts", [(10, 3), (2, 4), (0, 3), (17, 5)])
+    def test_partition_ranges_follow_chunk_sizes(self, total, parts):
+        sizes = [size for size in balanced_chunk_sizes(total, parts) if size]
+        ranges = partition_ranges(total, parts)
+        assert [stop - start for start, stop in ranges] == sizes
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))

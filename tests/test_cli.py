@@ -30,6 +30,20 @@ class TestParsers:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_challenge_serve_workers_flag(self):
+        # batcher worker threads; the CI scale-out smoke passes --workers 2
+        serve = ["challenge", "serve", "--dir", "net", "--neurons", "8"]
+        assert build_parser().parse_args(serve + ["--workers", "2"]).workers == 2
+        assert build_parser().parse_args(serve).workers is None
+
+    def test_challenge_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["challenge", "--workers", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_generate_and_info_round_trip(self, tmp_path, capsys):
@@ -70,6 +84,20 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "verified against dense reference: True" in out
+
+    def test_challenge_chunk_size_keeps_categories(self, capsys):
+        argv = ["challenge", "--neurons", "16", "--layers", "4", "--connections", "4",
+                "--batch", "32"]
+
+        def categories_line(extra):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            assert "verified against dense reference: True" in out
+            return [line for line in out.splitlines() if line.startswith("categories:")]
+
+        unchunked = categories_line([])
+        assert len(unchunked) == 1
+        assert categories_line(["--chunk-size", "8"]) == unchunked
 
     def test_design_command(self, capsys):
         code = main(["design", "--layer-widths", "32,64,64,16"])

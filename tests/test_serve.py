@@ -29,6 +29,7 @@ from repro.serve import (
     ServingEngine,
     bench_serve,
     serve_in_background,
+    serve_worker_count,
 )
 from repro.serve import protocol
 from repro.serve.batcher import PendingRequest
@@ -405,6 +406,22 @@ class TestServingEngine:
 # --------------------------------------------------------------------------- #
 # wire protocol
 # --------------------------------------------------------------------------- #
+class TestServeWorkerCount:
+    @pytest.mark.parametrize("requested", [1, 3, 8])
+    def test_requested_count_is_used(self, requested):
+        assert serve_worker_count(requested) == requested
+
+    @pytest.mark.parametrize("cpus,expected", [(None, 1), (2, 2), (16, 4)])
+    def test_default_is_cpu_count_capped_at_four(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert serve_worker_count() == expected
+
+    @pytest.mark.parametrize("requested", [0, -2])
+    def test_non_positive_count_rejected(self, requested):
+        with pytest.raises(ValidationError):
+            serve_worker_count(requested)
+
+
 class TestProtocol:
     def test_encode_decode_round_trip(self):
         message = {"op": "infer", "id": "x", "rows": [[0.0, 1.5]]}

@@ -44,7 +44,7 @@ from repro.challenge.pipeline import (
 )
 from repro.challenge.verify import category_checksum
 from repro.errors import ShapeError, ValidationError
-from repro.parallel.partition import partition_batch, partition_ranges
+from repro.parallel.partition import partition_ranges
 from repro.parallel.sharding import (
     ShardLayout,
     hstack_csr,
@@ -121,18 +121,6 @@ class TestPartitionRanges:
         assert partition_ranges(2, 4) == [(0, 1), (1, 2)]
         assert partition_ranges(0, 3) == []
         assert partition_ranges(7, 3) == [(0, 3), (3, 5), (5, 7)]
-
-    @given(st.integers(0, 200), st.integers(1, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_batch_reuses_the_same_ranges(self, total, parts):
-        arr = np.arange(total * 2, dtype=np.float64).reshape(total, 2)
-        chunks = partition_batch(arr, parts)
-        assert all(len(c) for c in chunks)
-        if total:
-            np.testing.assert_array_equal(np.concatenate(chunks), arr)
-        assert [len(c) for c in chunks] == [
-            stop - start for start, stop in partition_ranges(total, parts)
-        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -251,8 +239,6 @@ class TestShardedBitIdentity:
     def test_shards_do_not_compose_with_batch_parallelism(self, network, batch):
         with pytest.raises(ValidationError, match="does not compose"):
             sparse_dnn_inference(network, batch, shards=2, chunk_size=4)
-        with pytest.raises(ValidationError, match="does not compose"):
-            sparse_dnn_inference(network, batch, shards=2, workers=2)
 
 
 # --------------------------------------------------------------------------- #

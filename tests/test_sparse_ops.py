@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.backends as backends
 from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import (
@@ -42,9 +43,20 @@ class TestSpgemm:
         a, _ = random_sparse((5, 4), 0.5, 3)
         b, _ = random_sparse((4, 6), 0.5, 4)
         np.testing.assert_allclose(
-            spgemm(a, b, use_scipy=True).to_dense(),
+            spgemm(a, b).to_dense(),
             _spgemm_rowmerge(a, b).to_dense(),
         )
+
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    def test_rowmerge_matches_every_backend(self, backend):
+        a, _ = random_sparse((7, 5), 0.4, 7)
+        b, _ = random_sparse((5, 9), 0.4, 8)
+        with backends.use(backend):
+            product = spgemm(a, b)
+        expected = _spgemm_rowmerge(a, b)
+        np.testing.assert_array_equal(product.indptr, expected.indptr)
+        np.testing.assert_array_equal(product.indices, expected.indices)
+        np.testing.assert_allclose(product.data, expected.data)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):

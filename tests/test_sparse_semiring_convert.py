@@ -1,4 +1,4 @@
-"""Tests for repro.sparse.semiring and repro.sparse.convert."""
+"""Tests for repro.sparse.convert."""
 
 import numpy as np
 import pytest
@@ -12,66 +12,12 @@ from repro.sparse.convert import (
     to_scipy_csr,
 )
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spgemm
-from repro.sparse.semiring import (
-    MIN_PLUS,
-    OR_AND,
-    PLUS_TIMES,
-    semiring_chain_product,
-    semiring_spgemm,
-)
 
 
 def _random_binary(shape, density, seed):
     rng = np.random.default_rng(seed)
     dense = (rng.random(shape) < density).astype(np.float64)
     return CSRMatrix.from_dense(dense), dense
-
-
-class TestSemirings:
-    def test_plus_times_matches_spgemm(self):
-        a, _ = _random_binary((4, 5), 0.5, 1)
-        b, _ = _random_binary((5, 3), 0.5, 2)
-        np.testing.assert_allclose(
-            semiring_spgemm(a, b, PLUS_TIMES).to_dense(), spgemm(a, b).to_dense()
-        )
-
-    def test_or_and_gives_reachability(self):
-        a, da = _random_binary((4, 4), 0.4, 3)
-        b, db = _random_binary((4, 4), 0.4, 4)
-        boolean = semiring_spgemm(a, b, OR_AND).to_dense()
-        expected = ((da @ db) > 0).astype(float)
-        np.testing.assert_allclose(boolean, expected)
-
-    def test_or_and_values_are_binary(self):
-        a, _ = _random_binary((5, 5), 0.6, 5)
-        result = semiring_spgemm(a, a, OR_AND)
-        assert set(np.unique(result.to_dense())).issubset({0.0, 1.0})
-
-    def test_min_plus_single_hop(self):
-        # adjacency with unit weights: min-plus product counts 2-hop shortest distance
-        dense = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = CSRMatrix.from_dense(dense)
-        result = semiring_spgemm(a, a, MIN_PLUS).to_dense()
-        # path 0->1->0 has weight 2 (stored zeros are absent, so only 1+1 paths exist)
-        assert result[0, 0] == 2.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            semiring_spgemm(CSRMatrix.eye(2), CSRMatrix.eye(3), PLUS_TIMES)
-
-    def test_chain_product_matches_repeated(self):
-        a, _ = _random_binary((3, 3), 0.5, 6)
-        chained = semiring_chain_product([a, a, a], PLUS_TIMES).to_dense()
-        stepwise = semiring_spgemm(semiring_spgemm(a, a, PLUS_TIMES), a, PLUS_TIMES).to_dense()
-        np.testing.assert_allclose(chained, stepwise)
-
-    def test_chain_product_empty_raises(self):
-        with pytest.raises(ShapeError):
-            semiring_chain_product([], PLUS_TIMES)
-
-    def test_repr_names(self):
-        assert "plus_times" in repr(PLUS_TIMES)
 
 
 class TestConvert:

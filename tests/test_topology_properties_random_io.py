@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.radixnet import generate_radixnet
 from repro.errors import SerializationError, TopologyError, ValidationError
+from repro.testing import ADMISSIBLE_SPECS
 from repro.topology.fnnt import FNNT
 from repro.topology.io import load_npz, load_tsv_layers, save_npz, save_tsv_layers
 from repro.topology.properties import (
@@ -34,12 +36,61 @@ class TestProperties:
             uniform_path_count(net)
 
     def test_path_connected_boolean_path_agrees(self):
-        net = FNNT([np.ones((3, 3)), np.eye(3)], validate=False)
-        assert is_path_connected(net) == is_path_connected(net, use_boolean=True)
+        random_pair = [
+            (np.random.default_rng(seed).random((4, 4)) < 0.4).astype(np.float64)
+            for seed in (3, 4)
+        ]
+        for subs in ([np.ones((3, 3)), np.eye(3)], random_pair):
+            net = FNNT(subs, validate=False)
+            assert is_path_connected(net) == is_path_connected(net, use_boolean=True)
+            reachable = bool(np.all(subs[0] @ subs[1] > 0))
+            assert is_path_connected(net, use_boolean=True) == reachable
 
     def test_identity_chain_not_connected(self):
         net = FNNT([np.eye(4), np.eye(4)], validate=False)
         assert not is_path_connected(net)
+
+    @pytest.mark.parametrize("systems,widths", ADMISSIBLE_SPECS[:4])
+    def test_radixnets_are_connected_on_both_paths(self, systems, widths):
+        net = generate_radixnet(systems, widths)
+        assert is_path_connected(net)
+        assert is_path_connected(net, use_boolean=True)
+
+    @pytest.mark.parametrize(
+        "sub,expected", [(np.ones((3, 2)), True), (np.eye(3), False)]
+    )
+    def test_boolean_path_single_layer_needs_no_fold(self, sub, expected):
+        net = FNNT([sub], validate=False)
+        assert is_path_connected(net, use_boolean=True) is expected
+        assert is_path_connected(net) is expected
+
+    def test_boolean_path_sees_a_dead_hidden_neuron(self):
+        # hidden neuron 0 has no outgoing edges, so input 0 (wired only
+        # to it) reaches nothing downstream
+        first = np.array([[1.0, 0.0], [1.0, 1.0]])
+        second = np.array([[0.0, 0.0], [1.0, 1.0]])
+        net = FNNT([first, second, np.ones((2, 2))], validate=False)
+        assert not is_path_connected(net, use_boolean=True)
+        assert not is_path_connected(net)
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=3, max_size=5),
+        st.floats(0.2, 0.9),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_boolean_path_matches_dense_reachability(self, widths, p, seed):
+        rng = np.random.default_rng(seed)
+        subs = [
+            (rng.random((widths[i], widths[i + 1])) < p).astype(np.float64)
+            for i in range(len(widths) - 1)
+        ]
+        reach = subs[0]
+        for m in subs[1:]:
+            reach = ((reach @ m) > 0).astype(np.float64)
+        net = FNNT(subs, validate=False)
+        assert is_path_connected(net, use_boolean=True) == bool(np.all(reach > 0))
+        assert is_path_connected(net) == is_path_connected(net, use_boolean=True)
 
     def test_path_count_matrix_values(self):
         # two parallel 2-hop routes between single input and single output
