@@ -35,9 +35,7 @@ the 1024x120 official entry size.
 (:mod:`repro.serve`): a live in-process server (network resident,
 requests coalesced into micro-batches) under the bundled load generator,
 reporting requests/second and latency percentiles per backend (and per
-``E2_ACTIVATIONS`` policy) in the benchmark JSON;
-``test_e2_serve_batching_amortization`` compares ``max_wait_ms=0``
-(no coalescing) against a real batching window under the same load.
+``E2_ACTIVATIONS`` policy) in the benchmark JSON.
 
 ``test_e2_generation_throughput`` reports the *generation* side of the
 pipeline -- edges/second written through the fully sparse streaming
@@ -470,7 +468,7 @@ def test_e2_serve_throughput(benchmark, backend, report_table):
     engine = ServingEngine.from_network(network, backend=backend, activations=policy)
 
     def load():
-        with serve_in_background(engine, max_batch=32, max_wait_ms=2.0) as handle:
+        with serve_in_background(engine, max_batch=32) as handle:
             host, port = handle.address
             return bench_serve(
                 host, port,
@@ -503,42 +501,6 @@ def test_e2_serve_throughput(benchmark, backend, report_table):
             round(report["latency_p99_ms"], 2),
             round(report["server_stats"]["mean_batch_rows"], 1),
         ]],
-    )
-
-
-def test_e2_serve_batching_amortization(report_table):
-    """Micro-batching under concurrent load: coalescing must actually
-    coalesce (mean batch > 1 row) while staying answer-identical; the
-    no-wait configuration is the baseline."""
-    from repro.serve import ServingEngine, bench_serve, serve_in_background
-
-    network = generate_challenge_network(E2_NEURONS, E2_LAYERS, connections=8, seed=1)
-    engine = ServingEngine.from_network(network, activations="dense")
-    rows_by_config = {}
-    reports = {}
-    for label, max_wait_ms in (("no coalescing (0ms)", 0.0), ("2ms window", 2.0)):
-        with serve_in_background(engine, max_batch=32, max_wait_ms=max_wait_ms) as handle:
-            host, port = handle.address
-            reports[label] = bench_serve(
-                host, port,
-                requests=E2_SERVE_REQUESTS,
-                clients=E2_SERVE_CLIENTS,
-                rows_per_request=1,
-                seed=4,
-            )
-        assert reports[label]["errors"] == 0
-        rows_by_config[label] = reports[label]["server_stats"]["mean_batch_rows"]
-
-    report_table(
-        "E2: serve micro-batch amortization (1-row requests)",
-        ["configuration", "req/s", "p99 (ms)", "mean batch rows", "engine steps"],
-        [[
-            label,
-            int(r["requests_per_second"]),
-            round(r["latency_p99_ms"], 2),
-            round(r["server_stats"]["mean_batch_rows"], 1),
-            r["server_stats"]["batches"],
-        ] for label, r in reports.items()],
     )
 
 

@@ -261,9 +261,7 @@ def _serve_metrics(cfg: dict) -> dict:
     # top-level keys stay on the default configuration so the ledger
     # comparison tracks what `challenge serve` actually ships
     for label, workers in (("single_worker", 1), ("default", workers_n)):
-        with serve_in_background(
-            engine, max_batch=32, max_wait_ms=2.0, workers=workers
-        ) as handle:
+        with serve_in_background(engine, max_batch=32, workers=workers) as handle:
             host, port = handle.address
             report = bench_serve(
                 host, port,

@@ -11,7 +11,7 @@ Equivalent CLI session::
 
     repro challenge generate --neurons 256 --layers 12 --out DIR
     repro challenge serve --dir DIR --neurons 256 --port 7744 \
-        --max-batch 32 --max-wait-ms 2 &
+        --max-batch 32 &
     repro challenge bench-serve --port 7744 --requests 500 --clients 8 \
         --json report.json --shutdown
 
@@ -77,7 +77,7 @@ def main() -> None:
         engine = ServingEngine.from_directory(net_dir, args.neurons, activations="dense")
         print(f"   {engine!r}")
 
-        with serve_in_background(engine, max_batch=32, max_wait_ms=2.0) as handle:
+        with serve_in_background(engine, max_batch=32) as handle:
             host, port = handle.address
             print(f"\n== serving on {host}:{port} ==")
 

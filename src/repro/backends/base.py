@@ -12,6 +12,10 @@ inference recurrence all dispatch through the active backend, so an
 implementation can be swapped wholesale -- for cross-checking, for
 benchmarking, or to target different hardware.
 
+A backend may also offer an optional ``prepare(matrix)`` hook that
+returns a kernel-ready form of a matrix many calls will read unchanged
+(dispatched by :func:`repro.sparse.ops.prepare`, identity when absent).
+
 Backends are *unchecked* kernels: operand shapes are validated once at
 the dispatch layer (:mod:`repro.sparse.ops`) or at engine construction
 (:class:`repro.challenge.inference.InferenceEngine`), and the backend may

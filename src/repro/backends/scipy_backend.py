@@ -12,6 +12,8 @@ when scipy is missing so ``available_backends()`` stays truthful.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.backends.base import register, register_unavailable
@@ -19,7 +21,14 @@ from repro.backends.fused import clamp_bias_filter, sdmm_gather
 from repro.sparse.csr import CSRMatrix
 
 
+#: Attribute under which :meth:`ScipyBackend.prepare` attaches the handle.
+_HANDLE = "_scipy_csr"
+
+
 def _to_scipy(a: CSRMatrix):
+    handle = getattr(a, _HANDLE, None)
+    if handle is not None:
+        return handle
     import scipy.sparse as sp
 
     return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
@@ -41,6 +50,20 @@ class ScipyBackend:
     """Kernels delegated to scipy.sparse (the default backend)."""
 
     name = "scipy"
+
+    def prepare(self, a: CSRMatrix) -> CSRMatrix:
+        """``a`` with its ``csr_matrix`` handle built once and attached.
+
+        Every kernel otherwise re-wraps its CSR operands per call, which
+        copies the int64 index arrays down to scipy's int32 and checks
+        the format.  The returned matrix shares ``a``'s buffers (the
+        handle shares ``data`` too) and costs the int32 index copy: 4
+        bytes per stored entry plus 4 per row.  ``a`` itself is left
+        untouched.
+        """
+        prepared = copy.copy(a)
+        object.__setattr__(prepared, _HANDLE, _to_scipy(a))
+        return prepared
 
     def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         return _from_scipy(_to_scipy(a) @ _to_scipy(b))

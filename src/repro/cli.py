@@ -267,15 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="write 'host port' to PATH once listening (for scripted clients)")
     challenge_serve.add_argument("--max-batch", type=int, default=64, metavar="B",
                                  help="row budget per coalesced engine step (default 64)")
-    challenge_serve.add_argument("--max-wait-ms", type=float, default=2.0, metavar="T",
-                                 help="how long an open micro-batch waits for more rows (default 2ms)")
     challenge_serve.add_argument("--workers", type=int, default=None,
                                  metavar="N",
                                  help="batcher worker threads draining the request queue "
                                  "(default min(cpu_count, 4))")
     challenge_serve.add_argument("--adaptive-batch", action="store_true",
-                                 help="retune max-batch/max-wait-ms live from the "
-                                 "batch-size and queue-latency distributions")
+                                 help="retune max-batch live: grow it while requests "
+                                 "queue up behind running batches, relax it when idle")
     challenge_serve.add_argument("--replicas", type=int, default=None, metavar="K",
                                  help="fork K shared-nothing engine processes behind a "
                                  "load balancer on --host/--port (same wire protocol)")
@@ -623,7 +621,7 @@ def _cmd_challenge_serve(args: argparse.Namespace) -> int:
 
         host, port = address
         print(f"serving on {host}:{port} "
-              f"(max_batch {args.max_batch}, max_wait {args.max_wait_ms}ms)", flush=True)
+              f"(max_batch {args.max_batch})", flush=True)
         if args.port_file:
             # write-then-rename: a polling client never reads a
             # created-but-not-yet-written file
@@ -683,7 +681,6 @@ def _cmd_challenge_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
         adaptive_batch=args.adaptive_batch,
     )
@@ -721,7 +718,6 @@ def _serve_fleet(args: argparse.Namespace, on_ready) -> int:
             workdir=workdir,
             host=args.host,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             workers=args.workers,
             adaptive_batch=args.adaptive_batch,
             backend=args.backend,

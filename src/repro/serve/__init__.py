@@ -2,9 +2,11 @@
 
 The serving subsystem keeps one challenge network resident
 (:class:`~repro.serve.engine.ServingEngine`: weights + precomputed
-transposes loaded once) and answers many concurrent clients by
-coalescing their requests into micro-batches
-(:class:`~repro.serve.batcher.MicroBatcher`) -- one
+transposes loaded and prepared for the backend once) and answers many
+concurrent clients by coalescing their requests into micro-batches
+(:class:`~repro.serve.batcher.MicroBatcher`: a free worker takes
+whatever is queued at once; requests that arrive while every worker is
+busy ride the next batch) -- one
 :func:`repro.challenge.pipeline.run_pipeline` step per batch, rows
 scattered back per request bit-identically to single-shot runs.  The
 asyncio front end (:class:`~repro.serve.app.ServeApp`) speaks a
@@ -19,7 +21,7 @@ queue (engine steps in parallel, results still bit-identical);
 :mod:`repro.serve.balancer` forks shared-nothing process replicas behind
 an asyncio load balancer speaking the same protocol (``--replicas K``);
 :class:`~repro.serve.controller.AdaptiveBatchController` retunes
-``max_batch``/``max_wait_ms`` from the live batch/latency distributions
+``max_batch`` from the live batch sizes and queue backlog
 (``--adaptive-batch``); and :func:`~repro.serve.client.saturation_sweep`
 locates the knee of the throughput/latency curve
 (``bench-serve --sweep``).

@@ -8,8 +8,9 @@ Concurrency model -- three layers, each single-purpose:
   connections cost nothing);
 * the **micro-batcher worker pool**
   (:class:`repro.serve.batcher.MicroBatcher`) owns the engine: each of
-  its ``workers`` threads coalesces whatever accumulated while the
-  previous step ran and drives one
+  its ``workers`` threads takes whatever is queued the moment it is
+  free -- a lone request on an idle pool runs at once, requests that
+  arrive while every worker is busy coalesce -- and drives one
   :meth:`repro.serve.engine.ServingEngine.step` per micro-batch -- the
   NumPy/SciPy kernels release the GIL, so the event loop stays
   responsive while batches compute and requests/second scales with
@@ -67,8 +68,7 @@ class ServeApp:
     ``workers`` batcher threads (default ``min(cpu_count, 4)``) drain
     the shared request queue concurrently; ``adaptive_batch=True``
     attaches an :class:`AdaptiveBatchController` that retunes
-    ``max_batch``/``max_wait_ms`` from the live batch-size and
-    queue-latency distributions.
+    ``max_batch`` from the live batch sizes and queue backlog.
     """
 
     def __init__(
@@ -78,7 +78,6 @@ class ServeApp:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         request_timeout_s: float = 60.0,
         clock: Clock | None = None,
         workers: int | None = None,
@@ -92,7 +91,6 @@ class ServeApp:
         self.batcher = MicroBatcher(
             engine.step,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             clock=clock,
             workers=serve_worker_count(workers),
             controller=self.controller,
@@ -133,7 +131,6 @@ class ServeApp:
                 meta = self.engine.describe()
                 meta.update(
                     max_batch=self.batcher.max_batch,
-                    max_wait_ms=self.batcher.max_wait_s * 1000.0,
                     workers=self.batcher.workers,
                     adaptive_batch=self.controller is not None,
                 )
@@ -342,7 +339,6 @@ def serve_in_background(
     host: str = "127.0.0.1",
     port: int = 0,
     max_batch: int = 64,
-    max_wait_ms: float = 2.0,
     request_timeout_s: float = 60.0,
     startup_timeout_s: float = 30.0,
     workers: int | None = None,
@@ -361,7 +357,6 @@ def serve_in_background(
         host=host,
         port=port,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         request_timeout_s=request_timeout_s,
         workers=workers,
         adaptive_batch=adaptive_batch,

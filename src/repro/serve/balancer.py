@@ -177,7 +177,6 @@ class ReplicaFleet:
         workdir: str | os.PathLike,
         host: str = "127.0.0.1",
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         workers: int | None = None,
         adaptive_batch: bool = False,
         backend: str | None = None,
@@ -193,9 +192,7 @@ class ReplicaFleet:
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.host = host
-        self._argv_tail: list[str] = [
-            "--max-batch", str(max_batch), "--max-wait-ms", str(max_wait_ms)
-        ]
+        self._argv_tail: list[str] = ["--max-batch", str(max_batch)]
         if warm_start is not None:
             self._argv_tail += ["--warm-start", str(warm_start)]
         else:
@@ -1197,7 +1194,6 @@ def serve_fleet_in_background(
     host: str = "127.0.0.1",
     port: int = 0,
     max_batch: int = 64,
-    max_wait_ms: float = 2.0,
     workers: int | None = None,
     adaptive_batch: bool = False,
     backend: str | None = None,
@@ -1227,7 +1223,6 @@ def serve_fleet_in_background(
         workdir=workdir,
         host=host,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         workers=workers,
         adaptive_batch=adaptive_batch,
         backend=backend,

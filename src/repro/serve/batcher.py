@@ -20,19 +20,20 @@ Pieces:
   the worker, with an eventful "something is waiting" signal and
   front-of-queue push-back (a request that would overflow the batch
   budget goes back unharmed, preserving arrival order);
-* :class:`MicroBatcher` -- the worker pool: each worker collects up to
-  ``max_batch`` rows, waiting at most ``max_wait_ms`` after the first
-  request arrives, runs one engine step, and scatters the rows back.
-  With ``workers > 1`` several engine steps run concurrently against the
-  *same* queue -- the recurrence is row-independent and the kernels
-  release the GIL, so requests/second scales with cores while every
-  per-request result stays bit-identical to a single-shot run (each
-  batch is a disjoint slice of the queue; the stats counters are
-  lock-protected against concurrent consumers).  All waiting goes
-  through an injectable :class:`repro.utils.clock.Clock`, so tests drive
-  the batching logic deterministically with a
-  :class:`repro.utils.clock.FakeClock` and zero real sleeps
-  (:meth:`MicroBatcher.run_once` with ``wait=False``).
+* :class:`MicroBatcher` -- the worker pool: a worker takes the first
+  queued request at once plus whatever else is already queued, up to
+  ``max_batch`` rows, runs one engine step, and scatters the rows back.
+  No timer holds a batch open: requests that arrive while every worker
+  is busy are what forms the next batch.  With ``workers > 1`` several
+  engine steps run concurrently against the *same* queue -- the
+  recurrence is row-independent and the kernels release the GIL, so
+  requests/second scales with cores while every per-request result
+  stays bit-identical to a single-shot run (each batch is a disjoint
+  slice of the queue; the stats counters are lock-protected against
+  concurrent consumers).  All waiting goes through an injectable
+  :class:`repro.utils.clock.Clock`, so tests drive the batching logic
+  deterministically with a :class:`repro.utils.clock.FakeClock` and
+  zero real sleeps (:meth:`MicroBatcher.run_once` with ``wait=False``).
 """
 
 from __future__ import annotations
@@ -313,10 +314,6 @@ class MicroBatcher:
         next queued request would exceed it (that request waits,
         unharmed, at the front of the queue); a single request larger
         than the budget runs alone -- requests are never split.
-    max_wait_ms:
-        How long the worker holds an *open* batch waiting for more rows
-        after the first request arrived.  ``0`` disables coalescing
-        waits: every collection takes whatever is already queued.
     clock:
         Time source for all waits (default :class:`SystemClock`); tests
         pass a :class:`repro.utils.clock.FakeClock` and drive
@@ -333,8 +330,7 @@ class MicroBatcher:
         every batch the executing worker calls
         ``controller.observe(...)`` with the batch shape and latency
         breakdown, and idle workers call ``controller.idle(...)``; the
-        controller may retune :attr:`max_batch` / :attr:`max_wait_s` in
-        response.
+        controller may retune :attr:`max_batch` in response.
 
     The worker threads (:meth:`start`) loop :meth:`run_once`; embedders
     that want the batching semantics without a thread (property tests,
@@ -350,7 +346,6 @@ class MicroBatcher:
         step: Callable[[np.ndarray], EngineStep],
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         clock: Clock | None = None,
         idle_wait_s: float = 0.05,
         workers: int = 1,
@@ -358,15 +353,12 @@ class MicroBatcher:
     ) -> None:
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValidationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if idle_wait_s <= 0:
             raise ValidationError(f"idle_wait_s must be > 0, got {idle_wait_s}")
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self._step = step
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.idle_wait_s = float(idle_wait_s)
         self.workers = int(workers)
         self.clock: Clock = clock if clock is not None else SystemClock()
@@ -401,12 +393,15 @@ class MicroBatcher:
     # the batching loop (worker side)
     # ------------------------------------------------------------------ #
     def _collect(self, *, wait: bool) -> list[PendingRequest] | None:
-        """Gather the next micro-batch.
+        """Gather the next micro-batch: the first queued request plus
+        whatever is queued behind it, up to :attr:`max_batch` rows.
 
-        Returns ``None`` when there is nothing to do: immediately with
-        ``wait=False``, or -- for the worker loop -- once the queue is
-        closed and drained.  With ``wait=True`` an empty open queue parks
-        on the arrival event in ``idle_wait_s`` slices.
+        Nothing waits for more work once a request is in hand, so a lone
+        request on an idle batcher runs at once.  Returns ``None`` when
+        there is nothing to do: immediately with ``wait=False``, or --
+        for the worker loop -- once the queue is closed and drained.
+        With ``wait=True`` an empty open queue parks on the arrival event
+        in ``idle_wait_s`` slices.
         """
         while True:
             first = self.queue.pop()
@@ -419,17 +414,10 @@ class MicroBatcher:
             self.clock.wait(self.queue.available, self.idle_wait_s)
         batch = [first]
         rows = first.num_rows
-        deadline = self.clock.monotonic() + self.max_wait_s
         while rows < self.max_batch:
             item = self.queue.pop()
             if item is None:
-                if self.queue.closed:
-                    break
-                remaining = deadline - self.clock.monotonic()
-                if remaining <= 0:
-                    break
-                self.clock.wait(self.queue.available, remaining)
-                continue
+                break
             if rows + item.num_rows > self.max_batch:
                 self.queue.push_back(item)
                 break
@@ -521,7 +509,6 @@ class MicroBatcher:
             recent = list(self._recent)
         snapshot["workers"] = self.workers
         snapshot["max_batch"] = self.max_batch
-        snapshot["max_wait_ms"] = self.max_wait_s * 1000.0
         snapshot["recent"] = _recent_summary(recent)
         return snapshot
 

@@ -286,7 +286,7 @@ def bench_serve(
         "latency_max_ms": float(latencies.max() * 1000.0) if completed else 0.0,
         "server": {"neurons": neurons, "layers": meta.get("layers"),
                    "backend": meta.get("backend"), "activations": meta.get("activations"),
-                   "max_batch": meta.get("max_batch"), "max_wait_ms": meta.get("max_wait_ms")},
+                   "max_batch": meta.get("max_batch")},
         "server_stats": server_stats,
         "shutdown_sent": bool(shutdown),
         "shutdown_ok": shutdown_ok,

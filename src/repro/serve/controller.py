@@ -1,27 +1,26 @@
 """Adaptive batching: a feedback loop over the live serve telemetry.
 
-``max_batch`` / ``max_wait_ms`` are a latency/throughput dial that the
-operator of PR 5's server had to set blind, once, for a traffic mix they
-could not know in advance.  :class:`AdaptiveBatchController` closes the
-loop instead: every completed batch reports its shape and latency
-breakdown (:meth:`observe`), idle workers report quiet periods
-(:meth:`idle`), and the controller retunes the live batcher --
+``max_batch`` is a latency/throughput dial that the operator of the
+server had to set blind, once, for a traffic mix they could not know in
+advance.  :class:`AdaptiveBatchController` closes the loop instead:
+every completed batch reports its shape and backlog (:meth:`observe`),
+idle workers report quiet periods (:meth:`idle`), and the controller
+retunes the live batcher's row budget --
 
-* **under load** (requests backed up behind the batch, the row budget
-  filling before the window closes, or queue waits dwarfing the window)
-  it *shrinks* ``max_wait_ms`` -- holding a batch open buys nothing when
-  the queue already holds the next batch, it only adds latency -- and
-  *grows* ``max_batch`` toward its cap so each engine step amortizes
-  more requests;
-* **when idle** it relaxes both back toward their configured baselines,
-  restoring the coalescing window that keeps sporadic traffic cheap.
+* **under load** (requests backed up behind the batch, or the row
+  budget filled) it *grows* ``max_batch`` toward its cap so each engine
+  step amortizes more of the queued requests;
+* **when idle** it relaxes ``max_batch`` back toward its configured
+  baseline.
 
-AIMD shape (multiplicative shrink, geometric relax) keeps the reaction
-fast on bursts and smooth on decay.  All timing goes through the
-injectable :class:`repro.utils.clock.Clock`, so the convergence
+The batcher holds no coalescing window: queued work is what forms a
+batch, the adaptive batching Clipper (Crankshaw et al., NSDI 2017)
+describes.  Growth is multiplicative and relaxation geometric, so the
+reaction is fast on bursts and smooth on decay.  All timing goes through
+the injectable :class:`repro.utils.clock.Clock`, so the convergence
 behaviour is pinned by a deterministic :class:`FakeClock` test with zero
-sleeps: a synthetic burst drives ``max_wait_ms`` to its floor, a quiet
-spell restores the baseline.
+sleeps: a synthetic burst drives ``max_batch`` to its cap, a quiet spell
+restores the baseline.
 """
 
 from __future__ import annotations
@@ -37,25 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batcher binds us)
 
 
 class AdaptiveBatchController:
-    """Tune a :class:`MicroBatcher`'s ``max_batch``/``max_wait_ms`` live.
+    """Tune a :class:`MicroBatcher`'s ``max_batch`` live.
 
     Parameters
     ----------
-    min_wait_ms:
-        Floor for the coalescing window under load.  ``> 0`` keeps a
-        sliver of coalescing even at saturation (a pure zero would make
-        every queued request its own batch the instant load spikes).
     max_batch_cap:
         Ceiling for the grown row budget (default ``4x`` the batcher's
         configured ``max_batch`` at :meth:`bind` time).
-    shrink / grow:
-        The multiplicative factors: under load the window multiplies by
-        ``shrink`` (< 1) and the budget by ``grow`` (> 1); relaxation
-        walks both back by the inverse factors.
+    grow:
+        The multiplicative factor (> 1): under load the budget
+        multiplies by ``grow``; relaxation divides it back down.
     interval_s:
         Minimum (clock) time between adjustments, so one burst's worth
         of batches counts as one load signal instead of slamming the
-        window to the floor in a single micro-batch flight.  ``0``
+        budget to its cap in a single micro-batch flight.  ``0``
         adjusts on every signal (deterministic tests).
     clock:
         Time source for the adjustment interval; defaults to the bound
@@ -66,25 +60,17 @@ class AdaptiveBatchController:
     def __init__(
         self,
         *,
-        min_wait_ms: float = 0.1,
         max_batch_cap: int | None = None,
-        shrink: float = 0.5,
         grow: float = 1.5,
         interval_s: float = 0.05,
         clock: Clock | None = None,
     ) -> None:
-        if min_wait_ms <= 0:
-            raise ValidationError(f"min_wait_ms must be > 0, got {min_wait_ms}")
-        if not 0 < shrink < 1:
-            raise ValidationError(f"shrink must be in (0, 1), got {shrink}")
         if grow <= 1:
             raise ValidationError(f"grow must be > 1, got {grow}")
         if interval_s < 0:
             raise ValidationError(f"interval_s must be >= 0, got {interval_s}")
         if max_batch_cap is not None and max_batch_cap < 1:
             raise ValidationError(f"max_batch_cap must be >= 1, got {max_batch_cap}")
-        self.min_wait_s = float(min_wait_ms) / 1000.0
-        self.shrink = float(shrink)
         self.grow = float(grow)
         self.interval_s = float(interval_s)
         self._cap_arg = max_batch_cap
@@ -92,7 +78,7 @@ class AdaptiveBatchController:
         self._lock = threading.Lock()
         self._batcher: "MicroBatcher | None" = None
         self._last_adjust = -float("inf")
-        self.tightened = 0
+        self.grown = 0
         self.relaxed = 0
 
     # ------------------------------------------------------------------ #
@@ -105,7 +91,6 @@ class AdaptiveBatchController:
                 raise ValidationError("controller is already bound to a batcher")
             self._batcher = batcher
             self.base_max_batch = batcher.max_batch
-            self.base_max_wait_s = batcher.max_wait_s
             self.max_batch_cap = (
                 self._cap_arg if self._cap_arg is not None else 4 * batcher.max_batch
             )
@@ -129,20 +114,14 @@ class AdaptiveBatchController:
             batcher = self._batcher
             if batcher is None:  # pragma: no cover - defensive
                 return
-            loaded = (
-                queue_depth > 0  # the next batch is already waiting
-                or batch_rows >= batcher.max_batch  # budget filled early
-                # queueing dominates the window: coalescing is not what
-                # these requests are waiting for
-                or queue_wait_s > 2.0 * max(batcher.max_wait_s, self.min_wait_s)
-            )
-            if loaded:
-                self._tighten(batcher)
-            elif queue_depth == 0 and batch_rows <= max(1, batcher.max_batch // 2):
+            # the next batch is already waiting, or the budget filled
+            if queue_depth > 0 or batch_rows >= batcher.max_batch:
+                self._grow(batcher)
+            elif batch_rows <= max(1, batcher.max_batch // 2):
                 self._relax(batcher)
 
     def idle(self, *, queue_depth: int) -> None:
-        """A worker found nothing to do: walk the limits back to baseline."""
+        """A worker found nothing to do: walk the budget back to baseline."""
         with self._lock:
             if self._batcher is not None:
                 self._relax(self._batcher)
@@ -157,29 +136,18 @@ class AdaptiveBatchController:
         self._last_adjust = now
         return True
 
-    def _tighten(self, batcher: "MicroBatcher") -> None:
-        if not self._due():
+    def _grow(self, batcher: "MicroBatcher") -> None:
+        if batcher.max_batch >= self.max_batch_cap or not self._due():
             return
-        new_wait = max(self.min_wait_s, batcher.max_wait_s * self.shrink)
-        new_batch = min(
+        batcher.max_batch = min(
             self.max_batch_cap,
             max(batcher.max_batch + 1, int(batcher.max_batch * self.grow)),
         )
-        if new_wait != batcher.max_wait_s or new_batch != batcher.max_batch:
-            batcher.max_wait_s = new_wait
-            batcher.max_batch = new_batch
-            self.tightened += 1
+        self.grown += 1
 
     def _relax(self, batcher: "MicroBatcher") -> None:
-        at_base = (
-            batcher.max_wait_s == self.base_max_wait_s
-            and batcher.max_batch == self.base_max_batch
-        )
-        if at_base or not self._due():
+        if batcher.max_batch == self.base_max_batch or not self._due():
             return
-        batcher.max_wait_s = min(
-            self.base_max_wait_s, batcher.max_wait_s / self.shrink
-        )
         batcher.max_batch = max(
             self.base_max_batch, int(batcher.max_batch / self.grow)
         )
@@ -194,15 +162,8 @@ class AdaptiveBatchController:
             batcher = self._batcher
             return {
                 "max_batch": batcher.max_batch if batcher else None,
-                "max_wait_ms": batcher.max_wait_s * 1000.0 if batcher else None,
                 "base_max_batch": getattr(self, "base_max_batch", None),
-                "base_max_wait_ms": (
-                    getattr(self, "base_max_wait_s", 0.0) * 1000.0
-                    if batcher
-                    else None
-                ),
-                "min_wait_ms": self.min_wait_s * 1000.0,
                 "max_batch_cap": getattr(self, "max_batch_cap", None),
-                "tightened": self.tightened,
+                "grown": self.grown,
                 "relaxed": self.relaxed,
             }

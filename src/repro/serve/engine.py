@@ -6,7 +6,9 @@ inverts that trade-off: it answers thousands of small requests against
 one network, so :class:`ServingEngine` pays the load exactly once --
 weights streamed in via :class:`repro.challenge.pipeline.LoadStage` /
 :func:`repro.challenge.io.iter_challenge_layers`, per-layer transposes
-precomputed with the bound backend -- and every request batch then runs
+precomputed with the bound backend, and every matrix a step reads put in
+the backend's kernel-ready form (:func:`repro.sparse.ops.prepare`) --
+and every request batch then runs
 :func:`repro.challenge.pipeline.run_pipeline` over the resident triples
 with zero I/O.
 
@@ -39,6 +41,7 @@ from repro.challenge.inference import ActivationPolicy
 from repro.errors import ShapeError
 from repro.serve.batcher import EngineStep
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import prepare
 
 
 class ServingEngine:
@@ -72,14 +75,18 @@ class ServingEngine:
             from repro.parallel.sharding import ShardLayout
 
             self.layout = ShardLayout.balanced(self.neurons, shards)
+
+        def resident(weight: CSRMatrix) -> tuple[CSRMatrix, CSRMatrix]:
+            # pay the transposes and the backend handles once; the request
+            # hot loop never transposes or re-wraps a weight
+            return (
+                prepare(weight, backend=self.backend),
+                prepare(self.backend.transpose(weight), backend=self.backend),
+            )
+
         if self.layout is None:
-            # pay the transposes once; the request hot loop never transposes
             self.layers = tuple(
-                (
-                    weight,
-                    self.backend.transpose(weight),
-                    np.asarray(bias, dtype=np.float64),
-                )
+                (*resident(weight), np.asarray(bias, dtype=np.float64))
                 for weight, bias in layers
             )
             self.shard_layers = ()
@@ -104,8 +111,7 @@ class ServingEngine:
                     dataclasses.replace(
                         sliced,
                         shards=tuple(
-                            (w, self.backend.transpose(w), b)
-                            for w, _, b in sliced.shards
+                            (*resident(w), b) for w, _, b in sliced.shards
                         ),
                     )
                 )

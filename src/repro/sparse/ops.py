@@ -241,6 +241,23 @@ def sdmm(
     return sdmm_gather(x_arr, dy_arr, pattern)
 
 
+def prepare(
+    matrix: CSRMatrix, *, backend: str | SparseBackend | None = None
+) -> CSRMatrix:
+    """``matrix`` in the backend's kernel-ready form, for repeated reads.
+
+    For a matrix that many kernel calls read unchanged -- a served
+    network's resident weights -- a backend may build its native handle
+    once instead of per call (scipy attaches its ``csr_matrix``).  The
+    result is a :class:`CSRMatrix` equal to ``matrix`` and valid on
+    every backend; backends without a ``prepare`` hook return
+    ``matrix`` itself.  Only prepare matrices whose index arrays never
+    change afterwards.
+    """
+    hook = getattr(_resolve(backend), "prepare", None)
+    return matrix if hook is None else hook(matrix)
+
+
 def matrix_power(
     a: CSRMatrix, exponent: int, *, backend: str | SparseBackend | None = None
 ) -> CSRMatrix:

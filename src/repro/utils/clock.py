@@ -60,8 +60,8 @@ class FakeClock:
     timeout -- exactly the two outcomes a real timed wait can have,
     minus the nondeterministic in-between.  Every wait's timeout is
     recorded in :attr:`waits` so tests can assert on the component's
-    waiting behaviour (e.g. "the batcher waited out the remaining batch
-    window, not a fresh full window").
+    waiting behaviour (e.g. "a lone request on an idle batcher ran
+    without any wait").
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -26,7 +26,7 @@ from repro.core.radixnet import generate_radixnet
 from repro.errors import ValidationError
 from repro.nn.layers import CSRSparseLayer, MaskedSparseLayer
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spgemm
+from repro.sparse.ops import prepare, spgemm
 from repro.testing import ADMISSIBLE_SPECS, random_csr
 
 ALL_BACKENDS = backends.available_backends()
@@ -291,6 +291,55 @@ def test_permute_columns_generic_fallback_without_kernel():
     expected = CSRMatrix.from_dense(da[:, permutation])
     assert got.same_pattern(expected)
     assert np.array_equal(got.data, expected.data)
+
+
+# --------------------------------------------------------------------------- #
+# prepare: the kernel-ready form of a resident matrix
+# --------------------------------------------------------------------------- #
+class TestPrepare:
+    #: 8x6, rows 1 and 5 empty, explicit zeros stored at (0, 3) and (3, 4)
+    WEIGHT = CSRMatrix(
+        (8, 6),
+        [0, 2, 2, 5, 6, 8, 8, 9, 11],
+        [0, 3, 1, 2, 5, 4, 0, 5, 2, 1, 3],
+        [0.5, 0.0, -1.25, 2.0, 0.75, 0.0, 1.5, -0.5, 3.0, 0.25, 1.0],
+    )
+
+    @pytest.mark.parametrize("backend", [b for b in ALL_BACKENDS if b != "scipy"])
+    def test_returns_the_matrix_unchanged_without_a_hook(self, backend):
+        assert prepare(self.WEIGHT, backend=backend) is self.WEIGHT
+
+    def test_scipy_attaches_one_handle_and_shares_buffers(self):
+        pytest.importorskip("scipy")
+        from repro.backends.scipy_backend import _to_scipy
+
+        prepared = prepare(self.WEIGHT, backend="scipy")
+        assert prepared.indices is self.WEIGHT.indices
+        assert prepared.data is self.WEIGHT.data
+        assert _to_scipy(prepared) is _to_scipy(prepared)
+        # the caller's matrix is not prepared behind its back
+        assert _to_scipy(self.WEIGHT) is not _to_scipy(self.WEIGHT)
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_scipy_prepared_kernels_are_bitwise_equal(self, rows):
+        pytest.importorskip("scipy")
+        impl = backends.get_backend("scipy")
+        prepared = prepare(self.WEIGHT, backend=impl)
+        rng = np.random.default_rng(rows)
+        dense = rng.standard_normal((6, rows))
+        assert (
+            impl.spmm(prepared, dense).view(np.int64)
+            == impl.spmm(self.WEIGHT, dense).view(np.int64)
+        ).all()
+        y_dense = rng.random((rows, 8)) * (rng.random((rows, 8)) < 0.5)
+        y_dense[0] = 0.0  # an empty activation row
+        y = CSRMatrix.from_dense(y_dense)
+        bias = -rng.random(6)
+        got = impl.sparse_layer_step(y, prepared, bias, 2.0)
+        want = impl.sparse_layer_step(y, self.WEIGHT, bias, 2.0)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert (got.data.view(np.int64) == want.data.view(np.int64)).all()
 
 
 def test_backends_agree_pairwise_on_spgemm():

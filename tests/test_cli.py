@@ -44,6 +44,17 @@ class TestParsers:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
 
+    def test_challenge_serve_has_no_max_wait_flag(self, capsys):
+        # the coalescing window is gone: a free batcher worker dispatches
+        # whatever is queued at once
+        with pytest.raises(SystemExit) as excinfo:
+            main(["challenge", "serve", "--dir", "net", "--neurons", "8",
+                  "--max-wait-ms", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_generate_and_info_round_trip(self, tmp_path, capsys):

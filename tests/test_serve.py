@@ -146,8 +146,6 @@ class TestMicroBatcher:
         with pytest.raises(ValidationError):
             MicroBatcher(_echo_step, max_batch=0)
         with pytest.raises(ValidationError):
-            MicroBatcher(_echo_step, max_wait_ms=-1)
-        with pytest.raises(ValidationError):
             MicroBatcher(_echo_step, idle_wait_s=0)
         batcher = MicroBatcher(_echo_step)
         with pytest.raises(ValidationError):
@@ -166,7 +164,7 @@ class TestMicroBatcher:
             calls.append(rows.copy())
             return _echo_step(rows)
 
-        batcher = MicroBatcher(step, max_batch=8, max_wait_ms=5.0, clock=FakeClock())
+        batcher = MicroBatcher(step, max_batch=8, clock=FakeClock())
         pendings = [batcher.submit(_rows(float(i))) for i in range(3)]
         assert batcher.run_once(wait=False)
         assert len(calls) == 1 and calls[0].shape == (3, 2)
@@ -182,7 +180,6 @@ class TestMicroBatcher:
         batcher = MicroBatcher(
             lambda rows: (sizes.append(rows.shape[0]), _echo_step(rows))[1],
             max_batch=4,
-            max_wait_ms=0.0,
             clock=FakeClock(),
         )
         submitted = [batcher.submit(_rows(*[float(10 * i + j) for j in range(3)]))
@@ -210,23 +207,41 @@ class TestMicroBatcher:
         assert big.result(timeout=0).stats.batch_rows == 5
         assert small.result(timeout=0).stats.batch_rows == 1
 
-    def test_open_batch_waits_out_the_window_not_longer(self):
+    def test_lone_request_on_idle_batcher_runs_without_clock_advance(self):
         clock = FakeClock()
-        batcher = MicroBatcher(_echo_step, max_batch=100, max_wait_ms=4.0, clock=clock)
-        batcher.submit(_rows(1.0))
-        assert batcher.run_once(wait=False)
-        # one request, room in the budget: the batcher waited for more
-        # work, but only until the batch window closed (virtual time
-        # advanced by exactly the window)
-        assert clock.monotonic() == pytest.approx(0.004)
-        assert clock.waits == [0.004]
+        batcher = MicroBatcher(_echo_step, max_batch=100, clock=clock)
+        pending = batcher.submit(_rows(1.0))
+        # room in the budget, nothing else queued: the batch runs at once,
+        # even for the worker loop's waiting collect
+        assert batcher.run_once(wait=True)
+        assert clock.waits == []
+        assert clock.monotonic() == 0.0
+        assert pending.result(timeout=0).stats.queue_wait_s == 0.0
 
-    def test_zero_wait_takes_whatever_is_queued(self):
+    def test_requests_queued_during_a_running_step_ride_the_next_batch(self):
         clock = FakeClock()
-        batcher = MicroBatcher(_echo_step, max_batch=100, max_wait_ms=0.0, clock=clock)
-        batcher.submit(_rows(1.0))
-        assert batcher.run_once(wait=False)
-        assert clock.waits == []  # no coalescing wait at all
+        sizes = []
+        late = []
+
+        def step(rows):
+            sizes.append(rows.shape[0])
+            if len(sizes) == 1:  # arrivals while the first batch computes
+                late.extend(batcher.submit(_rows(float(i))) for i in range(1, 6))
+            return _echo_step(rows)
+
+        batcher = MicroBatcher(step, max_batch=3, clock=clock)
+        first = batcher.submit(_rows(0.0))
+        while batcher.run_once(wait=False):
+            pass
+        # the lone first request ran alone; the five that queued behind it
+        # coalesced up to the row budget, in arrival order
+        assert sizes == [1, 3, 2]
+        assert clock.waits == []
+        assert first.result(timeout=0).stats.batch_requests == 1
+        for i, pending in enumerate(late, start=1):
+            result = pending.result(timeout=0)
+            assert (result.activations == _rows(float(i))).all()
+            assert result.stats.batch_requests == (3 if i <= 3 else 2)
 
     def test_queue_wait_and_service_seconds_use_the_clock(self):
         clock = FakeClock()
@@ -234,7 +249,7 @@ class TestMicroBatcher:
             clock.advance(0.25)
             return _echo_step(rows)
 
-        batcher = MicroBatcher(slow_step, max_batch=8, max_wait_ms=0.0, clock=clock)
+        batcher = MicroBatcher(slow_step, max_batch=8, clock=clock)
         pending = batcher.submit(_rows(1.0))
         clock.advance(1.5)  # request sat queued for 1.5 virtual seconds
         assert batcher.run_once(wait=False)
@@ -247,7 +262,7 @@ class TestMicroBatcher:
         # inside one coalesced batch fails those requests but the batcher
         # keeps serving (regression: np.concatenate outside the guard
         # killed the worker thread)
-        batcher = MicroBatcher(_echo_step, max_batch=8, max_wait_ms=0.0, clock=FakeClock())
+        batcher = MicroBatcher(_echo_step, max_batch=8, clock=FakeClock())
         narrow = batcher.submit(np.ones((1, 2)))
         wide = batcher.submit(np.ones((1, 5)))
         assert batcher.run_once(wait=False)
@@ -260,7 +275,7 @@ class TestMicroBatcher:
         assert (survivor.result(timeout=0).activations == _rows(3.0)).all()
 
     def test_done_callback_fires_on_completion_or_immediately(self):
-        batcher = MicroBatcher(_echo_step, max_batch=4, max_wait_ms=0.0, clock=FakeClock())
+        batcher = MicroBatcher(_echo_step, max_batch=4, clock=FakeClock())
         observed = []
         early = batcher.submit(_rows(1.0))
         early.add_done_callback(lambda p: observed.append(("early", p.request_id)))
@@ -272,7 +287,7 @@ class TestMicroBatcher:
         assert observed[-1] == ("late", early.request_id)
 
     def test_stats_dict_snapshot_matches_counters(self):
-        batcher = MicroBatcher(_echo_step, max_batch=4, max_wait_ms=0.0, clock=FakeClock())
+        batcher = MicroBatcher(_echo_step, max_batch=4, clock=FakeClock())
         batcher.submit(_rows(1.0))
         batcher.run_once(wait=False)
         snapshot = batcher.stats_dict()
@@ -281,7 +296,7 @@ class TestMicroBatcher:
             assert snapshot[key] == value
         assert snapshot["workers"] == 1
         assert snapshot["max_batch"] == 4
-        assert snapshot["max_wait_ms"] == 0.0
+        assert "max_wait_ms" not in snapshot
         assert snapshot["recent"]["batches"] == 1
         assert snapshot["recent"]["mean_batch_rows"] == 1.0
 
@@ -323,7 +338,7 @@ class TestMicroBatcher:
     def test_worker_thread_serves_and_close_drains(self):
         # the one threaded batcher test: real clock, but entirely
         # event-driven -- close() is the synchronization point
-        batcher = MicroBatcher(_echo_step, max_batch=4, max_wait_ms=1.0).start()
+        batcher = MicroBatcher(_echo_step, max_batch=4).start()
         with pytest.raises(ServeError, match="already started"):
             batcher.start()
         pendings = [batcher.submit(_rows(float(i))) for i in range(10)]
@@ -334,7 +349,7 @@ class TestMicroBatcher:
         assert batcher.stats.rows == 10
 
     def test_stats_aggregate(self):
-        batcher = MicroBatcher(_echo_step, max_batch=3, max_wait_ms=0.0, clock=FakeClock())
+        batcher = MicroBatcher(_echo_step, max_batch=3, clock=FakeClock())
         for i in range(5):
             batcher.submit(_rows(float(i)))
         while batcher.run_once(wait=False):
@@ -480,7 +495,7 @@ class TestServeApp:
     @pytest.fixture()
     def server(self, network):
         engine = ServingEngine.from_network(network, activations="dense")
-        with serve_in_background(engine, max_batch=16, max_wait_ms=1.0) as handle:
+        with serve_in_background(engine, max_batch=16) as handle:
             yield handle
 
     def test_ping_meta_stats(self, server):
@@ -491,6 +506,7 @@ class TestServeApp:
             assert meta["neurons"] == NEURONS
             assert meta["layers"] == LAYERS
             assert meta["max_batch"] == 16
+            assert "max_wait_ms" not in meta
             stats = client.stats()
             assert stats["requests"] == 0
             assert stats["connections_opened"] >= 1
@@ -600,7 +616,7 @@ class TestServeCLI:
         thread, codes = self._serve_in_thread(
             ["challenge", "serve", "--dir", str(net_dir), "--neurons", str(NEURONS),
              "--port", "0", "--port-file", str(port_file),
-             "--max-batch", "8", "--max-wait-ms", "1"]
+             "--max-batch", "8"]
         )
         pause = threading.Event()
         for _ in range(200):

@@ -72,7 +72,7 @@ def reference(network):
 def backend_server(network):
     """One in-process serve instance the proxies front as fake replicas."""
     engine = ServingEngine.from_network(network, activations="dense")
-    with serve_in_background(engine, max_batch=8, max_wait_ms=1.0) as handle:
+    with serve_in_background(engine, max_batch=8) as handle:
         yield handle
 
 
@@ -192,7 +192,6 @@ def _fleet(network, tmp_path, **overrides):
         neurons=NEURONS,
         workdir=tmp_path / "fleet",
         max_batch=8,
-        max_wait_ms=1.0,
         workers=2,
         activations="dense",
         health=HealthPolicy(**FAST_HEALTH),

@@ -103,7 +103,7 @@ class TestBatcherCoalescingProperties:
     ):
         serving, reference = engines[(backend, policy)]
         batcher = MicroBatcher(
-            serving.step, max_batch=max_batch, max_wait_ms=1.0, clock=FakeClock()
+            serving.step, max_batch=max_batch, clock=FakeClock()
         )
         requests = _request_rows([rows for rows, _ in schedule])
         pendings = []
@@ -148,7 +148,7 @@ class TestBatcherCoalescingProperties:
             return serving.step(rows)
 
         batcher = MicroBatcher(
-            counting_step, max_batch=6, max_wait_ms=0.0, clock=FakeClock()
+            counting_step, max_batch=6, clock=FakeClock()
         )
         requests = _request_rows(sizes)
         pendings = [batcher.submit(rows) for rows in requests]
@@ -178,7 +178,7 @@ class TestWorkerPoolProperties:
         """N workers draining one queue: exactly-once, bit-identical results."""
         serving, reference = engines[(backend, policy)]
         batcher = MicroBatcher(
-            serving.step, max_batch=4, max_wait_ms=0.5, workers=workers
+            serving.step, max_batch=4, workers=workers
         ).start()
         try:
             requests = _request_rows(sizes)
@@ -208,41 +208,42 @@ class TestWorkerPoolProperties:
 class TestAdaptiveControllerConvergence:
     """Zero-sleep convergence checks: every signal is an explicit call."""
 
-    def _bound(self, *, max_batch=8, max_wait_ms=4.0, **controller_kwargs):
+    def _bound(self, *, max_batch=8, **controller_kwargs):
         clock = FakeClock()
         controller_kwargs.setdefault("interval_s", 0.0)
         controller = AdaptiveBatchController(clock=clock, **controller_kwargs)
         batcher = MicroBatcher(
             _echo_identity,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             clock=clock,
             controller=controller,
         )
         return batcher, controller, clock
 
-    def test_sustained_load_shrinks_wait_to_floor_and_grows_batch(self):
-        batcher, controller, clock = self._bound(min_wait_ms=0.5)
+    def test_sustained_load_grows_batch_to_cap(self):
+        batcher, controller, clock = self._bound()
         for _ in range(32):  # a burst: every batch leaves a queue behind
             controller.observe(
                 batch_rows=8, batch_requests=8,
                 queue_wait_s=0.01, service_s=0.001, queue_depth=5,
             )
-        assert batcher.max_wait_s == pytest.approx(0.5 / 1000.0)
-        assert batcher.max_batch == controller.max_batch_cap
-        assert controller.tightened > 0
+        assert batcher.max_batch == controller.max_batch_cap == 32
+        assert controller.grown > 0
+        assert not hasattr(batcher, "max_wait_s")  # the budget is the only dial
+        assert set(controller.snapshot()) == {
+            "max_batch", "base_max_batch", "max_batch_cap", "grown", "relaxed"
+        }
 
     def test_idle_relaxes_back_to_baseline(self):
-        batcher, controller, clock = self._bound(min_wait_ms=0.5)
+        batcher, controller, clock = self._bound()
         for _ in range(16):
             controller.observe(
                 batch_rows=8, batch_requests=8,
                 queue_wait_s=0.01, service_s=0.001, queue_depth=5,
             )
-        assert batcher.max_wait_s < 4.0 / 1000.0
+        assert batcher.max_batch > 8
         for _ in range(32):  # quiet spell: empty queue, tiny batches
             controller.idle(queue_depth=0)
-        assert batcher.max_wait_s == pytest.approx(4.0 / 1000.0)
         assert batcher.max_batch == 8
         assert controller.relaxed > 0
 
@@ -253,45 +254,45 @@ class TestAdaptiveControllerConvergence:
                 batch_rows=8, batch_requests=8,
                 queue_wait_s=0.01, service_s=0.001, queue_depth=3,
             )
-        tightened = controller.tightened
+        grown = controller.grown
         for _ in range(32):  # lone single-row batches, nothing queued
             controller.observe(
                 batch_rows=1, batch_requests=1,
                 queue_wait_s=0.0001, service_s=0.001, queue_depth=0,
             )
-        assert controller.tightened == tightened  # no further tightening
-        assert batcher.max_wait_s == pytest.approx(4.0 / 1000.0)
+        assert controller.grown == grown  # no further growth
         assert batcher.max_batch == 8
 
     def test_adjustment_interval_rate_limits_reaction(self):
-        batcher, controller, clock = self._bound(interval_s=1.0, min_wait_ms=0.01)
+        batcher, controller, clock = self._bound(interval_s=1.0)
         for _ in range(10):  # same fake instant: only the first one counts
             controller.observe(
                 batch_rows=8, batch_requests=8,
                 queue_wait_s=0.01, service_s=0.001, queue_depth=5,
             )
-        assert controller.tightened == 1
+        assert controller.grown == 1
         clock.advance(2.0)
         controller.observe(
             batch_rows=8, batch_requests=8,
             queue_wait_s=0.01, service_s=0.001, queue_depth=5,
         )
-        assert controller.tightened == 2
+        assert controller.grown == 2
 
     def test_driven_through_the_batcher_loop(self):
         """End to end under FakeClock: run_once feeds the controller."""
-        batcher, controller, clock = self._bound(max_batch=2, min_wait_ms=0.5)
+        batcher, controller, clock = self._bound(max_batch=2)
         for i in range(12):  # keep the queue deeper than the row budget
             batcher.submit(np.full((1, 2), float(i)))
         while batcher.run_once(wait=False):
             pass
-        assert controller.tightened > 0
-        assert batcher.max_wait_s < 4.0 / 1000.0
-        # drained queue: idle ticks walk the window back up (what the
+        assert controller.grown > 0
+        assert batcher.max_batch > 2
+        assert clock.waits == []  # the backlog formed every batch, no timer
+        # drained queue: idle ticks walk the budget back down (what the
         # worker's empty-queue branch reports each time it parks)
         for _ in range(64):
             controller.idle(queue_depth=0)
-        assert batcher.max_wait_s == pytest.approx(4.0 / 1000.0)
+        assert batcher.max_batch == 2
 
     def test_parked_worker_reports_idle_to_the_controller(self):
         """The empty-queue wait branch fires the idle hook.
@@ -314,7 +315,7 @@ class TestAdaptiveControllerConvergence:
                 self.batcher.queue.close()
 
         batcher = MicroBatcher(
-            _echo_identity, max_wait_ms=1.0, clock=FakeClock(),
+            _echo_identity, clock=FakeClock(),
             controller=ClosingController(),
         )
         assert batcher.run_once(wait=True) is False

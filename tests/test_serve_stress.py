@@ -110,7 +110,7 @@ def _fire_clients(address, policy_reference, *, encoding="dense"):
 def test_live_server_stress_dense_policy(network, backend):
     engine = ServingEngine.from_network(network, backend=backend, activations="dense")
     reference = InferenceEngine(network, backend=backend, activations="dense")
-    with serve_in_background(engine, max_batch=8, max_wait_ms=2.0) as handle:
+    with serve_in_background(engine, max_batch=8) as handle:
         results = _fire_clients(handle.address, reference)
         host, port = handle.address
         with ServeClient(host, port) as client:
@@ -134,7 +134,7 @@ def test_live_server_stress_dense_policy(network, backend):
 def test_live_server_stress_sparse_policy(network):
     engine = ServingEngine.from_network(network, activations="sparse")
     reference = InferenceEngine(network, activations="sparse")
-    with serve_in_background(engine, max_batch=8, max_wait_ms=2.0) as handle:
+    with serve_in_background(engine, max_batch=8) as handle:
         _fire_clients(handle.address, reference, encoding="sparse")
 
 
@@ -157,7 +157,7 @@ def test_mixed_ops_under_load(network):
         except Exception as exc:  # noqa: BLE001
             control_errors.append(repr(exc))
 
-    with serve_in_background(engine, max_batch=4, max_wait_ms=1.0) as handle:
+    with serve_in_background(engine, max_batch=4) as handle:
         control = threading.Thread(target=control_body, daemon=True)
         control.start()
         with ServeClient(*handle.address) as client:
@@ -174,7 +174,7 @@ def test_shutdown_drains_accepted_requests(network):
     """Everything accepted before close() completes -- nothing is dropped."""
     engine = ServingEngine.from_network(network, activations="dense")
     reference = InferenceEngine(network, activations="dense")
-    batcher = MicroBatcher(engine.step, max_batch=4, max_wait_ms=50.0).start()
+    batcher = MicroBatcher(engine.step, max_batch=4).start()
     requests = [challenge_input_batch(NEURONS, 1 + i % 3, seed=i) for i in range(25)]
     pendings = [batcher.submit(rows) for rows in requests]
     batcher.close(drain=True)  # the graceful-shutdown path the app uses
@@ -202,7 +202,6 @@ def test_worker_pool_thread_hammer_keeps_exact_totals():
             activations=np.asarray(rows, dtype=np.float64), layer_modes=["dense"]
         ),
         max_batch=3,  # below common request sizes: exercises push-back
-        max_wait_ms=0.2,
         workers=4,
     ).start()
     completed: list = []
@@ -263,7 +262,6 @@ def test_replica_fleet_stress_matches_single_shot(network, tmp_path):
         neurons=NEURONS,
         workdir=tmp_path / "fleet",
         max_batch=8,
-        max_wait_ms=2.0,
         workers=2,
         activations="dense",
     ) as handle:
@@ -304,7 +302,7 @@ def test_multi_worker_throughput_beats_single_worker(network):
     for workers in (1, 4):
         engine = ServingEngine.from_network(network, activations="dense")
         with serve_in_background(
-            engine, max_batch=16, max_wait_ms=1.0, workers=workers
+            engine, max_batch=16, workers=workers
         ) as handle:
             host, port = handle.address
             report = bench_serve(

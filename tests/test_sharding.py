@@ -323,6 +323,22 @@ class TestShardedServingEngine:
         np.testing.assert_array_equal(a.activations, b.activations)
         assert a.layer_modes == b.layer_modes
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("activations", ["dense", "sparse"])
+    def test_prepared_shards_match_inference_engine(
+        self, network, batch, backend, activations
+    ):
+        from repro.challenge.inference import InferenceEngine
+
+        sharded = ServingEngine.from_network(
+            network, backend=backend, activations=activations, shards=2
+        )
+        single = InferenceEngine(
+            network, backend=backend, activations=activations
+        ).run(batch, record_timing=False)
+        got = sharded.step(batch).activations
+        assert (got.view(np.int64) == single.activations.view(np.int64)).all()
+
     def test_shards_surface_in_metadata(self, network):
         sharded = ServingEngine.from_network(network, shards=2)
         plain = ServingEngine.from_network(network)

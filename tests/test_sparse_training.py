@@ -160,9 +160,12 @@ class TestCSRTrainableLayer:
         assert optimizer._first_moment[0].size == nnz
         assert optimizer._second_moment[0].size == nnz
 
-    def test_optimizer_updates_reach_forward(self):
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_optimizer_updates_reach_forward(self, backend):
+        # the optimizer rewrites weights.data in place: no kernel-side
+        # handle may serve the next forward from stale values
         mask = self._mask()
-        layer = CSRTrainableLayer(mask, seed=0, activation="identity")
+        layer = CSRTrainableLayer(mask, seed=0, activation="identity", backend=backend)
         x = np.ones((1, mask.shape[0]))
         before = layer.forward(x, training=False).copy()
         layer.forward(x)
@@ -170,6 +173,7 @@ class TestCSRTrainableLayer:
         SGD(0.5).step(layer.parameters(), layer.gradients())
         after = layer.forward(x, training=False)
         assert not np.allclose(before, after)
+        np.testing.assert_allclose(after, x @ layer.effective_weights() + layer.biases)
 
     def test_second_backward_raises(self):
         mask = self._mask()
