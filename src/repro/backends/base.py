@@ -146,9 +146,13 @@ class SparseBackend(Protocol):
         gradient ``X^T @ dY`` of a CSR-weighted affine layer only ever
         needs the entries on the layer's fixed connectivity pattern, so
         the gradient stays O(nnz) and the dense ``rows x cols`` product
-        is never formed.  Stored values of ``pattern`` are ignored (only
-        its structure matters).  Shapes are validated once at the
-        dispatch layer (:func:`repro.sparse.ops.sdmm`).
+        is never formed.  Implementations should keep the peak working
+        set at O(nnz + batch * (rows + cols)) plus a constant -- the
+        shared NumPy kernel (:func:`repro.backends.fused.sdmm_gather`)
+        adds two fixed-size blocks -- and never a ``(batch, nnz)``
+        temporary.  Stored values of ``pattern`` are ignored (only its
+        structure matters).  Shapes are validated once at the dispatch
+        layer (:func:`repro.sparse.ops.sdmm`).
         """
         ...
 

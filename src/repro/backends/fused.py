@@ -2,10 +2,10 @@
 
 The bias/ReLU/clamp postprocessing of ``sparse_layer_step`` is identical
 index bookkeeping whichever SpGEMM produced the product, and the
-gather-based sampled dense-dense multiply (``sdmm``) is the same single
-einsum pass for every pure-NumPy tier; they live here -- neutral ground
-between the backends and the dispatch layer -- so the vectorized
-backend, the scipy backend, and the generic fallbacks in
+gather-based sampled dense-dense multiply (``sdmm``) is the same
+cache-blocked einsum walk for every pure-NumPy tier; they live here --
+neutral ground between the backends and the dispatch layer -- so the
+vectorized backend, the scipy backend, and the generic fallbacks in
 :mod:`repro.sparse.ops` all run the same code.
 """
 
@@ -14,6 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+
+# Elements (stored entries x batch) of each gathered sdmm operand block:
+# 2**16 float64s is 512 KiB, so both blocks stay cache-resident while
+# their einsum reads them.
+_SDMM_BLOCK_ELEMENTS = 1 << 16
 
 
 def row_ids(matrix: CSRMatrix) -> np.ndarray:
@@ -35,15 +40,33 @@ def sdmm_gather(
 ) -> CSRMatrix:
     """Sampled dense-dense multiply ``x.T @ dy`` on ``pattern``, scatter-free.
 
-    Gathers the operand columns of every stored ``(i, j)`` pair and
-    contracts over the batch axis in one einsum pass, so the work is
-    O(batch * nnz) and the dense ``rows x cols`` product never exists.
-    ``row_index`` lets callers supply a memoized row-id expansion.
+    Transposes ``x`` and ``dy`` once into C-contiguous ``(features,
+    batch)`` layout, then walks the stored entries in fixed blocks of
+    ``_SDMM_BLOCK_ELEMENTS // batch`` entries: each block gathers the
+    operand rows of its ``(i, j)`` pairs and contracts them over the batch
+    axis with one einsum straight into the preallocated output.  Work is
+    O(batch * nnz); the peak working set is O(nnz + batch * (rows + cols))
+    plus two fixed-size blocks, so neither the dense ``rows x cols``
+    product nor a ``(batch, nnz)`` gather ever exists.  Every entry is
+    summed over the batch in the same order as an unblocked gather, so
+    the result does not depend on the block size.  ``row_index`` lets
+    callers supply a memoized row-id expansion.
     """
     if pattern.nnz == 0:
         return pattern
     rows = row_ids(pattern) if row_index is None else row_index
-    data = np.einsum("bp,bp->p", x[:, rows], dy[:, pattern.indices])
+    x_t = np.ascontiguousarray(x.T)
+    dy_t = np.ascontiguousarray(dy.T)
+    data = np.empty(pattern.nnz, dtype=np.result_type(x_t, dy_t))
+    step = max(1, _SDMM_BLOCK_ELEMENTS // max(1, x.shape[0]))
+    for start in range(0, pattern.nnz, step):
+        stop = start + step
+        np.einsum(
+            "pb,pb->p",
+            x_t[rows[start:stop]],
+            dy_t[pattern.indices[start:stop]],
+            out=data[start:stop],
+        )
     return pattern.with_data(data)
 
 

@@ -95,7 +95,7 @@ class ScipyBackend:
 
     def sdmm(self, x: np.ndarray, dy: np.ndarray, pattern: CSRMatrix) -> CSRMatrix:
         # scipy.sparse has no sampled-dense-dense primitive; the shared
-        # gather is already a single compiled einsum pass over the batch
+        # kernel walks the pattern in cache-sized blocks of compiled einsum
         return sdmm_gather(x, dy, pattern)
 
     def sparse_layer_step(

@@ -208,12 +208,15 @@ def sdmm(
     this kernel computes just those entries: the result shares
     ``pattern``'s structure and has stored entry ``(i, j)`` equal to
     ``sum_b x[b, i] * dy[b, j]``.  Work and output are O(batch * nnz) and
-    O(nnz); the dense ``rows x cols`` outer product is never formed.
-    Stored values of ``pattern`` are ignored.
+    O(nnz); the peak working set of the NumPy kernels is
+    O(nnz + batch * (rows + cols)) plus two fixed 512 KiB blocks, so
+    neither the dense ``rows x cols`` outer product nor a
+    ``(batch, nnz)`` gather is ever formed.  Stored values of
+    ``pattern`` are ignored.
 
     Backends without an ``sdmm`` kernel (e.g. custom registrations
-    predating it) fall back to the shared gather/einsum implementation
-    :func:`repro.backends.fused.sdmm_gather`.
+    predating it) fall back to the shared blocked gather/einsum
+    implementation :func:`repro.backends.fused.sdmm_gather`.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     dy_arr = np.asarray(dy, dtype=np.float64)

@@ -11,12 +11,16 @@ experiment harness and CLI subcommand.
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.backends as backends
+from repro.backends.fused import _SDMM_BLOCK_ELEMENTS
 from repro.baselines.pruning import magnitude_prune_mask
+from repro.core.designer import design_for_widths
+from repro.core.radixnet import generate_from_spec
 from repro.errors import ShapeError, ValidationError
 from repro.experiments.training import accuracy_vs_density, train_study
 from repro.nn.builder import dense_model, model_from_topology
@@ -88,20 +92,11 @@ class TestSdmm:
 
     def test_generic_fallback_without_kernel(self):
         """Backends registered without an sdmm kernel still dispatch."""
-
-        class Minimal:
-            name = "minimal"
-
-            def __getattr__(self, attr):
-                if attr == "sdmm":
-                    raise AttributeError(attr)
-                return getattr(backends.get_backend("reference"), attr)
-
         rng = np.random.default_rng(3)
         dense_pat, pattern = _random_pattern(rng, (5, 6))
         x = rng.standard_normal((4, 5))
         dy = rng.standard_normal((4, 6))
-        got = sdmm(x, dy, pattern, backend=Minimal())
+        got = sdmm(x, dy, pattern, backend=_NoSdmmBackend())
         rows, cols = np.nonzero(dense_pat)
         np.testing.assert_allclose(got.data, (x.T @ dy)[rows, cols])
 
@@ -113,6 +108,104 @@ class TestSdmm:
             sdmm(np.ones((2, 3)), np.ones((4, 3)), pattern)
         with pytest.raises(ShapeError):
             sdmm(np.ones((2, 3)), np.ones((2, 4)), pattern)
+
+    # The NumPy tiers share one cache-blocked kernel; these pin it bitwise
+    # to an unblocked (batch, nnz) gather, at every block boundary and on
+    # every dispatch path into it.
+    GATHER_PATHS = ("scipy", "vectorized", "fallback")
+
+    @staticmethod
+    def _gather_backend(path):
+        if path == "fallback":
+            return _NoSdmmBackend()
+        if path not in ALL_BACKENDS:
+            pytest.skip(f"backend {path!r} is not available")
+        return path
+
+    @staticmethod
+    def _unblocked_gather(x, dy, pattern):
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        return np.einsum("bp,bp->p", x[:, rows], dy[:, pattern.indices])
+
+    @staticmethod
+    def _pattern_with_nnz(rng, nnz, density):
+        """A random pattern with exactly ``nnz`` entries at about ``density``."""
+        cols = 64
+        rows = int(np.ceil(nnz / density / cols))
+        flat = np.sort(rng.choice(rows * cols, size=nnz, replace=False))
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat // cols, minlength=rows), out=indptr[1:])
+        return CSRMatrix((rows, cols), indptr, flat % cols, np.ones(nnz))
+
+    @pytest.mark.parametrize("path", GATHER_PATHS)
+    @pytest.mark.parametrize("blocks", [0.5, 1.0, 2.375], ids=["sub", "one", "ragged"])
+    @pytest.mark.parametrize("density", [1 / 32, 1 / 4], ids=["d32", "d4"])
+    @pytest.mark.parametrize("batch", [0, 1, 17, 64])
+    def test_blocked_matches_unblocked_gather_bitwise(self, batch, density, blocks, path):
+        rng = np.random.default_rng(batch)
+        block = _SDMM_BLOCK_ELEMENTS // max(1, batch)
+        pattern = self._pattern_with_nnz(rng, int(blocks * block), density)
+        x = rng.standard_normal((batch, pattern.shape[0]))
+        dy = rng.standard_normal((batch, pattern.shape[1]))
+        got = sdmm(x, dy, pattern, backend=self._gather_backend(path))
+        assert got.same_pattern(pattern)
+        np.testing.assert_array_equal(
+            got.data.view(np.int64), self._unblocked_gather(x, dy, pattern).view(np.int64)
+        )
+
+    @pytest.mark.parametrize("path", GATHER_PATHS)
+    @pytest.mark.parametrize("layout", ["fortran", "transposed_view", "strided_view"])
+    def test_operand_layout_does_not_change_bits(self, layout, path):
+        rng = np.random.default_rng(7)
+        _, pattern = _random_pattern(rng, (300, 200), density=0.25)
+        x = rng.standard_normal((17, 300))
+        dy = rng.standard_normal((17, 200))
+        if layout == "fortran":
+            args = np.asfortranarray(x), np.asfortranarray(dy)
+        elif layout == "transposed_view":
+            args = np.ascontiguousarray(x.T).T, np.ascontiguousarray(dy.T).T
+        else:
+            args = np.repeat(x, 2, axis=1)[:, ::2], np.repeat(dy, 2, axis=0)[::2]
+        np.testing.assert_array_equal(args[0], x)
+        got = sdmm(*args, pattern, backend=self._gather_backend(path))
+        np.testing.assert_array_equal(
+            got.data.view(np.int64), self._unblocked_gather(x, dy, pattern).view(np.int64)
+        )
+
+    @pytest.mark.parametrize("path", GATHER_PATHS)
+    def test_peak_memory_is_independent_of_batch_times_nnz(self, path):
+        """One batch-64 call on the 1024x1024, density-1/4 RadiX-Net layer.
+
+        An unblocked ``(batch, nnz)`` gather of both operands peaks near
+        270 MB here; the blocked kernel holds the transposed operands, the
+        output, the row ids and two blocks -- a few MB.
+        """
+        topology = generate_from_spec(design_for_widths([256, 1024, 1024, 16]).spec)
+        pattern = topology.submatrices[1]
+        assert pattern.shape == (1024, 1024) and pattern.nnz == 1024 * 1024 // 4
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((64, 1024))
+        dy = rng.standard_normal((64, 1024))
+        backend = self._gather_backend(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sdmm(x, dy, pattern, backend=backend)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+
+
+class _NoSdmmBackend:
+    """A registered-style backend predating ``sdmm``: dispatch falls back."""
+
+    name = "no-sdmm"
+
+    def __getattr__(self, attr):
+        if attr == "sdmm":
+            raise AttributeError(attr)
+        return getattr(backends.get_backend("reference"), attr)
 
 
 # --------------------------------------------------------------------------- #
