@@ -327,9 +327,14 @@ def _train_metrics(cfg: dict, notes: list[str]) -> dict:
     from repro.nn.builder import model_from_topology
     from repro.nn.losses import CrossEntropyLoss
     from repro.nn.optimizers import SGD
+    from repro.topology.fnnt import FNNT
 
     widths = [16, 32, 32, 8]
-    topology = generate_from_spec(design_for_widths(widths).spec)
+    radix_net = generate_from_spec(design_for_widths(widths).spec)
+    # A copy without the Kronecker factors, so the CSR arms train
+    # CSRTrainableLayer through each backend's spmm/sdmm kernels rather
+    # than the backend-independent block layer.
+    topology = FNNT(radix_net.submatrices, validate=False, name=radix_net.name)
     batch, steps = cfg["batch"], cfg["train_steps"]
     rng = np.random.default_rng(5)
     x = rng.standard_normal((batch, topology.layer_sizes[0]))

@@ -33,7 +33,7 @@ from repro.core.kronecker import kron_expand_submatrices
 from repro.core.mixed_radix_topology import mixed_radix_submatrices
 from repro.numeral.mixed_radix import MixedRadixSystem
 from repro.sparse.csr import CSRMatrix
-from repro.topology.fnnt import FNNT
+from repro.topology.fnnt import FNNT, KroneckerFactors
 from repro.utils.validation import check_positive_int
 
 SystemLike = MixedRadixSystem | Sequence[int]
@@ -239,10 +239,15 @@ def generate_radixnet(
 
 
 def generate_from_spec(spec: RadixNetSpec) -> FNNT:
-    """Generate the topology described by a validated :class:`RadixNetSpec`."""
+    """Generate the topology described by a validated :class:`RadixNetSpec`.
+
+    The returned FNNT keeps the extended mixed-radix submatrices and the
+    widths it was expanded from as its ``kron_factors``.
+    """
     base = emr_submatrices(spec)
     expanded = kron_expand_submatrices(base, spec.widths)
-    return FNNT(expanded, validate=False, name=spec.name)
+    factors = KroneckerFactors(tuple(base), spec.widths)
+    return FNNT(expanded, validate=False, name=spec.name, kron_factors=factors)
 
 
 def radixnet_edge_count(spec: RadixNetSpec) -> int:

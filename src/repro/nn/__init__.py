@@ -11,7 +11,9 @@ This subpackage provides:
   dense-hardware training representation of a sparse topology), or a CSR
   matrix (``CSRTrainableLayer`` -- genuinely sparse O(nnz) training
   through the backend kernel plane; ``CSRSparseLayer`` -- the
-  inference-only representation);
+  inference-only representation), or dense Kronecker blocks
+  (``KroneckerBlockLayer`` -- O(nnz) training of a RadiX-Net layer
+  ``1 (x) W`` by batched block GEMMs);
 * activations, losses, initializers (with sparse fan-in correction),
   optimizers (SGD / momentum / Nesterov / RMSProp / Adam) and learning-rate
   schedules;
@@ -32,6 +34,7 @@ from repro.nn.layers import (
     MaskedSparseLayer,
     CSRSparseLayer,
     CSRTrainableLayer,
+    KroneckerBlockLayer,
 )
 from repro.nn.model import FeedforwardNetwork
 from repro.nn.optimizers import SGD, Momentum, RMSProp, Adam
@@ -57,6 +60,7 @@ __all__ = [
     "MaskedSparseLayer",
     "CSRSparseLayer",
     "CSRTrainableLayer",
+    "KroneckerBlockLayer",
     "FeedforwardNetwork",
     "SGD",
     "Momentum",

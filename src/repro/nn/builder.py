@@ -6,10 +6,20 @@ nets) and the training half: every adjacency submatrix becomes the
 connectivity mask of a :class:`repro.nn.layers.MaskedSparseLayer` (or a
 plain :class:`DenseLayer` when the submatrix is all ones), so any topology
 family can be trained, evaluated, and compared through identical code.
-With ``sparse_training=True`` the sparse submatrices become
-:class:`repro.nn.layers.CSRTrainableLayer` objects instead -- O(nnz)
-parameter storage with forward/backward running through the backend
-kernel plane -- numerically equivalent to the masked layers for the same
+With ``sparse_training=True`` the sparse submatrices are trained with
+O(nnz) parameter storage instead, by one of two layers:
+
+* :class:`repro.nn.layers.KroneckerBlockLayer` when the topology carries
+  the Kronecker factors of paper equation (3) (RadiX-Nets from
+  :func:`repro.core.radixnet.generate_from_spec`) and the layer's base
+  pattern is regular -- dense block GEMMs, agreeing with the masked layer
+  within 1e-12 relative;
+* :class:`repro.nn.layers.CSRTrainableLayer` otherwise (random X-Nets,
+  random graphs, pruned or hand-built topologies, and any FNNT derived
+  from a RadiX-Net, which drops the factors) -- backend ``spmm``/``sdmm``
+  kernels, numerically equivalent to the masked layer.
+
+Both start from weights bitwise equal to the masked layer's for the same
 seed.
 """
 
@@ -21,7 +31,13 @@ import numpy as np
 
 from repro.backends.base import SparseBackend
 from repro.errors import ValidationError
-from repro.nn.layers import CSRTrainableLayer, DenseLayer, MaskedSparseLayer
+from repro.nn.layers import (
+    CSRTrainableLayer,
+    DenseLayer,
+    KroneckerBlockLayer,
+    MaskedSparseLayer,
+    is_block_regular,
+)
 from repro.nn.model import FeedforwardNetwork
 from repro.topology.fnnt import FNNT
 from repro.utils.rng import RngLike, spawn_rngs
@@ -48,12 +64,15 @@ def model_from_topology(
     benchmarking the masked code path itself).
 
     With ``sparse_training=True``, sparse submatrices (and dense ones when
-    ``force_masked`` is also set) become :class:`CSRTrainableLayer` objects
-    bound to ``backend``: same seeds, same numbers, O(nnz) storage, with
-    forward/backward dispatched through the sparse kernel plane.
+    ``force_masked`` is also set) get O(nnz) storage from the same seeds:
+    a :class:`KroneckerBlockLayer` where ``topology.kron_factors`` holds a
+    regular base for the layer, else a :class:`CSRTrainableLayer` bound to
+    ``backend`` with forward/backward dispatched through the sparse kernel
+    plane.
     """
     layer_count = len(topology.submatrices)
     seeds = spawn_rngs(seed, layer_count)
+    factors = topology.kron_factors
     layers = []
     for index, submatrix in enumerate(topology.submatrices):
         activation = output_activation if index == layer_count - 1 else hidden_activation
@@ -65,6 +84,21 @@ def model_from_topology(
                     submatrix.shape[1],
                     activation=activation,
                     seed=seeds[index],
+                )
+            )
+        elif (
+            sparse_training
+            and factors is not None
+            and is_block_regular(factors.bases[index])
+        ):
+            layers.append(
+                KroneckerBlockLayer(
+                    factors.bases[index],
+                    factors.widths[index],
+                    factors.widths[index + 1],
+                    activation=activation,
+                    seed=seeds[index],
+                    fan_in_correction=fan_in_correction,
                 )
             )
         elif sparse_training:

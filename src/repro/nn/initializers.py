@@ -10,6 +10,8 @@ correction factor used by :class:`repro.nn.layers.MaskedSparseLayer`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.errors import ValidationError
@@ -20,17 +22,52 @@ def glorot_uniform(fan_in: int, fan_out: int, *, seed: RngLike = None) -> np.nda
     """Glorot/Xavier uniform initialization for a ``(fan_in, fan_out)`` weight matrix."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValidationError("fan_in and fan_out must be positive")
-    rng = ensure_rng(seed)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return _draw_rows(ensure_rng(seed), "glorot", fan_in, fan_out, fan_in)
 
 
 def he_normal(fan_in: int, fan_out: int, *, seed: RngLike = None) -> np.ndarray:
     """He (Kaiming) normal initialization, appropriate for ReLU networks."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValidationError("fan_in and fan_out must be positive")
+    return _draw_rows(ensure_rng(seed), "he", fan_in, fan_out, fan_in)
+
+
+def _draw_rows(
+    rng: np.random.Generator, init: str, fan_in: int, fan_out: int, rows: int
+) -> np.ndarray:
+    """The next ``rows`` rows of the ``init`` draw for a ``(fan_in, fan_out)`` matrix."""
+    if init == "he":
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(rows, fan_out))
+    if init == "glorot":
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(rows, fan_out))
+    raise ValidationError(f"unknown init {init!r}; use 'he' or 'glorot'")
+
+
+def iter_weight_rows(
+    fan_in: int,
+    fan_out: int,
+    *,
+    init: str = "he",
+    seed: RngLike = None,
+    chunk_rows: int = 1,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, block)``: the ``init`` draw in row chunks of ``chunk_rows``.
+
+    ``Generator.normal`` and ``Generator.uniform`` fill element by element
+    from the bit stream, so the stacked blocks are bitwise equal to one
+    :func:`he_normal` / :func:`glorot_uniform` draw from the same seed
+    while only one chunk is ever resident.  ``init`` is ``"he"`` or
+    ``"glorot"``.
+    """
+    if fan_in <= 0 or fan_out <= 0:
+        raise ValidationError("fan_in and fan_out must be positive")
+    if chunk_rows <= 0:
+        raise ValidationError("chunk_rows must be positive")
     rng = ensure_rng(seed)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+    step = int(chunk_rows)
+    for start in range(0, fan_in, step):
+        yield start, _draw_rows(rng, init, fan_in, fan_out, min(step, fan_in - start))
 
 
 def sparse_corrected_scale(mask: np.ndarray) -> np.ndarray:

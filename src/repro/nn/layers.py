@@ -1,6 +1,6 @@
 """Network layers.
 
-Four affine layer types share one interface (``forward``, ``backward``,
+Five affine layer types share one interface (``forward``, ``backward``,
 ``parameters``, ``gradients``; :class:`CSRSparseLayer` is forward-only):
 
 * :class:`DenseLayer` -- ordinary fully-connected affine layer;
@@ -17,13 +17,21 @@ Four affine layer types share one interface (``forward``, ``backward``,
   (sampled dense-dense multiply) kernel, so training dispatches through
   the same kernel plane as inference.  Numerically equivalent to
   :class:`MaskedSparseLayer` for the same topology and seed.
+* :class:`KroneckerBlockLayer` -- a RadiX-Net layer ``1_{D_in x D_out} (x) W``
+  (paper equation (3)) whose O(nnz) weights are stored as dense blocks, one
+  group per output column class of ``W``; forward, weight gradient and input
+  gradient are each one batched ``np.matmul``.  Agrees with
+  :class:`MaskedSparseLayer` within 1e-12 relative and starts from bitwise
+  equal weights.
 * :class:`CSRSparseLayer` -- weights stored in a CSR matrix; forward-only
   (inference), used by the Graph Challenge engine and for deploying
   trained masked layers in a genuinely sparse representation.  Its sparse
   kernels dispatch through :mod:`repro.backends` (the backend is bound at
   construction, when the transposed weights are precomputed once).
 
-All layers operate on batches shaped ``(batch, features)``.
+All layers operate on batches shaped ``(batch, features)``.  ``backward``
+takes ``input_gradient=False`` to skip the gradient with respect to the
+inputs, which the first layer of a network never needs.
 """
 
 from __future__ import annotations
@@ -34,7 +42,13 @@ from repro.backends import resolve_backend
 from repro.backends.base import SparseBackend
 from repro.errors import ShapeError, ValidationError
 from repro.nn.activations import Activation, get_activation
-from repro.nn.initializers import glorot_uniform, he_normal, sparse_corrected_scale, zeros_bias
+from repro.nn.initializers import (
+    glorot_uniform,
+    he_normal,
+    iter_weight_rows,
+    sparse_corrected_scale,
+    zeros_bias,
+)
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RngLike
 
@@ -83,7 +97,9 @@ class DenseLayer:
             self._last_output = output
         return output
 
-    def backward(self, upstream_gradient: np.ndarray) -> np.ndarray:
+    def backward(
+        self, upstream_gradient: np.ndarray, *, input_gradient: bool = True
+    ) -> np.ndarray | None:
         """Compute parameter gradients and return the gradient w.r.t. the inputs.
 
         Gradients are *set*, not accumulated: each backward pass overwrites
@@ -91,7 +107,9 @@ class DenseLayer:
         The forward caches are consumed by the call, so a second backward
         without an intervening training-mode forward raises
         :class:`~repro.errors.ValidationError` instead of silently reusing
-        stale activations.
+        stale activations.  With ``input_gradient=False`` the input
+        gradient is not computed and ``None`` is returned (the network's
+        first layer has no one to pass it to).
         """
         if self._last_input is None or self._last_output is None:
             raise ValidationError("backward called before a training-mode forward pass")
@@ -107,7 +125,7 @@ class DenseLayer:
         self._mask_gradient()
         self._last_input = None
         self._last_output = None
-        return local @ self.effective_weights().T
+        return local @ self.effective_weights().T if input_gradient else None
 
     def _mask_gradient(self) -> None:
         """Hook for sparse subclasses: restrict the weight gradient to the mask."""
@@ -350,7 +368,9 @@ class CSRTrainableLayer:
             self._last_output = output
         return output
 
-    def backward(self, upstream_gradient: np.ndarray) -> np.ndarray:
+    def backward(
+        self, upstream_gradient: np.ndarray, *, input_gradient: bool = True
+    ) -> np.ndarray | None:
         """Compute O(nnz) parameter gradients and return the input gradient.
 
         The weight gradient is the backend's sampled dense-dense multiply
@@ -358,7 +378,9 @@ class CSRTrainableLayer:
         input against the local gradient, restricted to the fixed pattern.
         As in :class:`DenseLayer`, the forward caches are consumed: a
         second backward without a new training-mode forward raises
-        :class:`~repro.errors.ValidationError`.
+        :class:`~repro.errors.ValidationError`, and
+        ``input_gradient=False`` skips the input-gradient ``spmm`` and
+        returns ``None``.
         """
         if self._last_input is None or self._last_output is None:
             raise ValidationError("backward called before a training-mode forward pass")
@@ -373,11 +395,12 @@ class CSRTrainableLayer:
             self._last_input, local, self.weights
         ).data
         self.bias_gradient = local.sum(axis=0)
-        # grad_x = local @ W^T, computed sparse-side as (W @ local^T)^T.
-        grad_input = self.backend.spmm(self.weights, local.T).T
         self._last_input = None
         self._last_output = None
-        return grad_input
+        if not input_gradient:
+            return None
+        # grad_x = local @ W^T, computed sparse-side as (W @ local^T)^T.
+        return self.backend.spmm(self.weights, local.T).T
 
     # ------------------------------------------------------------------ #
     def parameters(self) -> list[np.ndarray]:
@@ -423,4 +446,270 @@ class CSRTrainableLayer:
             f"CSRTrainableLayer(fan_in={self.fan_in}, fan_out={self.fan_out}, "
             f"nnz={self.weights.nnz}, activation={self.activation.name!r}, "
             f"backend={self.backend.name!r})"
+        )
+
+
+#: Gathered input elements per row block of an inference-mode
+#: :meth:`KroneckerBlockLayer.forward` (2 MiB of float64).
+_BLOCK_FORWARD_ELEMENTS = 1 << 18
+#: Row blocks are whole multiples of this many rows, so every block starts
+#: at the same position within a BLAS row tile as in one unblocked product.
+_BLOCK_ROW_ALIGN = 16
+#: Elements of one row chunk of the initial weight draw (512 KiB of float64).
+_INIT_CHUNK_ELEMENTS = 1 << 16
+
+
+def is_block_regular(base: CSRMatrix) -> bool:
+    """True if ``base`` can back a :class:`KroneckerBlockLayer`.
+
+    That is a binary pattern without repeated entries in which every row
+    stores the same number ``>= 1`` of entries and so does every column.
+    Every mixed-radix submatrix is one: a sum of distinct powers of the
+    cyclic permutation matrix.
+    """
+    n_in, n_out = base.shape
+    nnz = base.nnz
+    if nnz == 0 or nnz % n_in or nnz % n_out or not base.is_binary():
+        return False
+    if np.any(np.diff(base.indptr) != nnz // n_in):
+        return False
+    keys = np.repeat(np.arange(n_in, dtype=np.int64), nnz // n_in) * n_out + base.indices
+    if np.unique(keys).size != nnz:
+        return False
+    return bool(np.all(np.bincount(base.indices, minlength=n_out) == nnz // n_out))
+
+
+class KroneckerBlockLayer:
+    """A trainable RadiX-Net layer ``1_{D_in x D_out} (x) W`` stored as dense blocks.
+
+    By paper equation (3) the layer's weight pattern is a
+    ``D_in x D_out`` grid of copies of the small ``n_in x n_out`` pattern
+    ``W`` (``base``): input ``a * n_in + i`` feeds output ``b * n_out + j``
+    exactly when ``W[i, j] = 1``.  ``W`` must be regular (see
+    :func:`is_block_regular`), with ``r_col`` entries per column and
+    ``r_row`` per row.
+
+    Outputs are grouped by their column class ``j < n_out``.  Output group
+    ``j`` reads the ``K = D_in * r_col`` inputs ``{a * n_in + i : W[i, j] = 1}``
+    in ascending order and writes the ``D_out`` outputs ``{b * n_out + j}``,
+    so the weights are one ``(n_out, K, D_out)`` tensor: exactly ``nnz``
+    parameters, gradients and optimizer-state entries, as in
+    :class:`CSRTrainableLayer`.  Forward, weight gradient and input
+    gradient are each one batched ``np.matmul`` over the groups.  The
+    input gradient multiplies by the weights regrouped by input class
+    (one O(nnz) gather per step, the counterpart of
+    :class:`CSRTrainableLayer`'s transposed re-sync).
+
+    The contract: forward and gradients agree with
+    :class:`MaskedSparseLayer` and :class:`CSRTrainableLayer` on the
+    expanded pattern within 1e-12 relative (BLAS sums in its own order, so
+    not bitwise), and the initial weights are bitwise equal to theirs for
+    the same seed and options.  Construction is O(nnz): the row-chunked
+    initial draw is gathered chunk by chunk and no dense mask exists.
+    Inference-mode forward walks the batch in row blocks of at most
+    ``_BLOCK_FORWARD_ELEMENTS`` gathered inputs.  The blocks are aligned
+    to ``_BLOCK_ROW_ALIGN`` rows and never end in a lone row, which on
+    BLAS libraries that compute each output row the same way whatever
+    the row count (OpenBLAS, numpy's default) makes the result bitwise
+    equal to a single-block forward.
+    """
+
+    def __init__(
+        self,
+        base: CSRMatrix,
+        d_in: int,
+        d_out: int,
+        *,
+        activation: str | Activation = "relu",
+        seed: RngLike = None,
+        init: str = "he",
+        fan_in_correction: bool = True,
+    ) -> None:
+        if not isinstance(base, CSRMatrix):
+            raise ValidationError("base must be a CSRMatrix")
+        if int(d_in) <= 0 or int(d_out) <= 0:
+            raise ValidationError("d_in and d_out must be positive")
+        if not is_block_regular(base):
+            raise ValidationError(
+                "base must be a binary pattern with equal row counts and equal "
+                "column counts (a regular mixed-radix submatrix)"
+            )
+        self.d_in, self.d_out = int(d_in), int(d_out)
+        n_in, n_out = base.shape
+        self.fan_in, self.fan_out = self.d_in * n_in, self.d_out * n_out
+        self.activation = get_activation(activation)
+        r_row, r_col = base.nnz // n_in, base.nnz // n_out
+        # W's entries in row-major order with ascending columns per row.
+        cols = np.sort(base.indices.reshape(n_in, r_row), axis=1)
+        # For each column j, the rows holding it (ascending), and each
+        # entry's rank among its column's entries.
+        by_col = np.argsort(cols.ravel(), kind="stable").reshape(n_out, r_col)
+        rank = np.empty(base.nnz, dtype=np.int64)
+        rank[by_col.ravel()] = np.tile(np.arange(r_col, dtype=np.int64), n_out)
+        a = np.arange(self.d_in, dtype=np.int64)
+        b = np.arange(self.d_out, dtype=np.int64)
+        # Output group j gathers inputs a * n_in + i, (a, rank) ascending.
+        self._in_idx = (a[None, :, None] * n_in + (by_col // r_row)[:, None, :]).reshape(
+            n_out, -1
+        )
+        # Input group i scatters to outputs b * n_out + j, (b, q) ascending:
+        # the columns of CSR row a * n_in + i of the expanded pattern.
+        self._out_idx = (b[None, :, None] * n_out + cols[:, None, :]).reshape(n_in, -1)
+        # The weights regrouped by input class, (n_in, D_in, D_out * r_row),
+        # are blocks[_t_perm]: entry (i, a, (b, q)) of W's entry e = (i, q)
+        # in column j lives at blocks[j, a * r_col + rank[e], b].
+        k, r = self.d_in * r_col, self.d_out * r_row
+        entry = cols * (k * self.d_out) + rank.reshape(n_in, r_row) * self.d_out
+        self._t_perm = (
+            entry[:, None, None, :]
+            + (a * (r_col * self.d_out))[None, :, None, None]
+            + b[None, None, :, None]
+        ).reshape(n_in, self.d_in, r)
+        self.blocks = self._initial_blocks(init, seed, fan_in_correction)
+        self.biases = zeros_bias(self.fan_out)
+        self.weight_gradient = np.zeros_like(self.blocks)
+        self.bias_gradient = np.zeros_like(self.biases)
+        rows = _BLOCK_FORWARD_ELEMENTS // self._in_idx.size
+        self._block_rows = max(_BLOCK_ROW_ALIGN, rows - rows % _BLOCK_ROW_ALIGN)
+        self._last_gathered: np.ndarray | None = None
+        self._last_output: np.ndarray | None = None
+
+    def _initial_blocks(self, init: str, seed: RngLike, fan_in_correction: bool) -> np.ndarray:
+        """Replay :class:`MaskedSparseLayer`'s draw, one row chunk at a time.
+
+        The dense draw is scaled by the fan-in correction (every column of
+        the expanded pattern has ``K`` inputs) and gathered at the stored
+        entries.  Row ``a * n_in + i`` stores the columns ``_out_idx[i]``,
+        which land at ``_t_perm[i, a]`` in the block tensor.
+        """
+        n_in = self._out_idx.shape[0]
+        blocks = np.empty(self._t_perm.size, dtype=np.float64)
+        scale = np.sqrt(float(self.fan_in) / float(self._in_idx.shape[1]))
+        chunk = max(1, _INIT_CHUNK_ELEMENTS // self.fan_out)
+        for start, draw in iter_weight_rows(
+            self.fan_in, self.fan_out, init=init, seed=seed, chunk_rows=chunk
+        ):
+            row = np.arange(start, start + draw.shape[0])
+            i, a = row % n_in, row // n_in
+            values = draw[np.arange(draw.shape[0])[:, None], self._out_idx[i]]
+            if fan_in_correction:
+                values *= scale
+            blocks[self._t_perm[i, a]] = values
+        return blocks.reshape(self._in_idx.shape[0], -1, self.d_out)
+
+    # ------------------------------------------------------------------ #
+    def _affine(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x @ W + b, gathered)``; ``gathered[j]`` is output group j's inputs, transposed."""
+        gathered = np.ascontiguousarray(x.T)[self._in_idx]  # (n_out, K, batch)
+        product = np.matmul(self.blocks.transpose(0, 2, 1), gathered)  # (n_out, D_out, batch)
+        pre_activation = (
+            product.transpose(1, 0, 2).reshape(self.fan_out, x.shape[0]).T + self.biases
+        )
+        return pre_activation, gathered
+
+    def forward(self, inputs: np.ndarray, *, training: bool = True) -> np.ndarray:
+        """Compute ``activation(inputs @ W + b)`` with one batched matmul over the blocks."""
+        x = np.asarray(inputs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.fan_in:
+            raise ShapeError(
+                f"inputs must have shape (batch, {self.fan_in}), got {x.shape}"
+            )
+        if training:
+            pre_activation, self._last_gathered = self._affine(x)
+            output = self.activation(pre_activation)
+            self._last_output = output
+            return output
+        batch, rows = x.shape[0], self._block_rows
+        stops = list(range(rows, batch, rows))
+        if stops and batch - stops[-1] == 1:
+            stops.pop()  # a lone last row would take BLAS's vector path
+        pre_activation = np.empty((batch, self.fan_out))
+        for start, stop in zip([0, *stops], [*stops, batch]):
+            pre_activation[start:stop] = self._affine(x[start:stop])[0]
+        return self.activation(pre_activation)
+
+    def backward(
+        self, upstream_gradient: np.ndarray, *, input_gradient: bool = True
+    ) -> np.ndarray | None:
+        """Compute O(nnz) parameter gradients and return the input gradient.
+
+        The weight gradient of group ``j`` is its gathered inputs times its
+        outputs' local gradient; the input gradient multiplies each input
+        group's outputs' local gradient by the regrouped weights.  Caches
+        are consumed and ``input_gradient=False`` returns ``None``, as in
+        :class:`DenseLayer`.
+        """
+        if self._last_gathered is None or self._last_output is None:
+            raise ValidationError("backward called before a training-mode forward pass")
+        grad = np.asarray(upstream_gradient, dtype=np.float64)
+        if grad.shape != self._last_output.shape:
+            raise ShapeError(
+                f"upstream gradient shape {grad.shape} does not match output "
+                f"shape {self._last_output.shape}"
+            )
+        local = grad * self.activation.derivative_from_output(self._last_output)
+        batch, n_out = local.shape[0], self._in_idx.shape[0]
+        local_t = np.ascontiguousarray(local.T)  # (fan_out, batch)
+        by_output = local_t.reshape(self.d_out, n_out, batch).transpose(1, 2, 0)
+        self.weight_gradient = np.matmul(self._last_gathered, by_output)
+        self.bias_gradient = local.sum(axis=0)
+        self._last_gathered = None
+        self._last_output = None
+        if not input_gradient:
+            return None
+        regrouped = self.blocks.reshape(-1)[self._t_perm]  # (n_in, D_in, D_out * r_row)
+        product = np.matmul(regrouped, local_t[self._out_idx])  # (n_in, D_in, batch)
+        return product.transpose(1, 0, 2).reshape(self.fan_in, batch).T
+
+    # ------------------------------------------------------------------ #
+    def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays: the ``(n_out, K, D_out)`` blocks and the biases."""
+        return [self.blocks, self.biases]
+
+    def gradients(self) -> list[np.ndarray]:
+        """Gradients corresponding to :meth:`parameters` (both O(nnz))."""
+        return [self.weight_gradient, self.bias_gradient]
+
+    def csr_weights(self) -> CSRMatrix:
+        """The weights as a CSR matrix on the expanded pattern, built in O(nnz)."""
+        r = self._t_perm.shape[2]
+        data = self.blocks.reshape(-1)[self._t_perm.transpose(1, 0, 2)].reshape(-1)
+        indptr = np.arange(0, data.size + 1, r, dtype=np.int64)
+        indices = np.tile(self._out_idx, (self.d_in, 1)).reshape(-1)
+        return CSRMatrix((self.fan_in, self.fan_out), indptr, indices, data)
+
+    def effective_weights(self) -> np.ndarray:
+        """The dense equivalent of the block weights (diagnostics only)."""
+        return self.csr_weights().to_dense()
+
+    @property
+    def connection_count(self) -> int:
+        """Number of actual connections (stored block entries)."""
+        return self.blocks.size
+
+    @property
+    def density(self) -> float:
+        """Fraction of possible connections that exist."""
+        return self.blocks.size / (self.fan_in * self.fan_out)
+
+    @property
+    def parameter_count(self) -> int:
+        """Trainable scalars: one weight per connection plus the biases."""
+        return self.blocks.size + self.biases.size
+
+    def to_csr_layer(
+        self, *, backend: str | SparseBackend | None = None
+    ) -> CSRSparseLayer:
+        """Deploy as a forward-only :class:`CSRSparseLayer` (weights copied, O(nnz))."""
+        return CSRSparseLayer(
+            self.csr_weights(),
+            self.biases.copy(),
+            activation=self.activation,
+            backend=backend,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return (
+            f"KroneckerBlockLayer(fan_in={self.fan_in}, fan_out={self.fan_out}, "
+            f"blocks={self.blocks.shape}, activation={self.activation.name!r})"
         )

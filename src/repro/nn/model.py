@@ -11,6 +11,7 @@ from repro.nn.layers import (
     CSRSparseLayer,
     CSRTrainableLayer,
     DenseLayer,
+    KroneckerBlockLayer,
     MaskedSparseLayer,
 )
 from repro.sparse.csr import CSRMatrix
@@ -58,9 +59,9 @@ class FeedforwardNetwork:
         return (self.layers[0].fan_in, *(layer.fan_out for layer in self.layers))
 
     def is_sparse(self) -> bool:
-        """True if any layer carries a connectivity mask or CSR weights."""
+        """True if any layer carries a connectivity mask or O(nnz) sparse weights."""
         return any(
-            isinstance(layer, (MaskedSparseLayer, CSRTrainableLayer))
+            isinstance(layer, (MaskedSparseLayer, CSRTrainableLayer, KroneckerBlockLayer))
             for layer in self.layers
         )
 
@@ -73,10 +74,14 @@ class FeedforwardNetwork:
         return x
 
     def backward(self, loss_gradient: np.ndarray) -> None:
-        """Backpropagate the loss gradient through every layer."""
+        """Backpropagate the loss gradient through every layer.
+
+        The first layer is told not to compute its input gradient: nothing
+        reads the gradient with respect to the network's inputs.
+        """
         grad = np.asarray(loss_gradient, dtype=np.float64)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for index in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[index].backward(grad, input_gradient=index > 0)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Forward pass without caching activations (inference mode)."""
@@ -124,8 +129,8 @@ class FeedforwardNetwork:
         """
         sparse_layers = []
         for layer in self.layers:
-            if isinstance(layer, CSRTrainableLayer):
-                # Already CSR: reuse the trained pattern directly instead of
+            if isinstance(layer, (CSRTrainableLayer, KroneckerBlockLayer)):
+                # O(nnz) layers: keep the trained pattern directly instead of
                 # a dense round-trip (which would drop weights trained to
                 # exactly 0.0 from the stored pattern).
                 sparse_layers.append(layer.to_csr_layer())

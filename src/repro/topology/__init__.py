@@ -12,7 +12,7 @@ This subpackage provides the :class:`FNNT` container, property checks
 FNNT generators, and topology serialization.
 """
 
-from repro.topology.fnnt import FNNT
+from repro.topology.fnnt import FNNT, KroneckerFactors
 from repro.topology.properties import (
     is_path_connected,
     is_symmetric,
@@ -44,6 +44,7 @@ from repro.topology.transforms import (
 
 __all__ = [
     "FNNT",
+    "KroneckerFactors",
     "is_path_connected",
     "is_symmetric",
     "path_count_matrix",

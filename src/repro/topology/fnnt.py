@@ -20,6 +20,7 @@ matrix ``A`` of the topology (paper Fig. 4 / eq. (11)).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,37 @@ def _as_csr(matrix: CSRMatrix | np.ndarray) -> CSRMatrix:
     return from_dense(np.asarray(matrix, dtype=np.float64))
 
 
+class KroneckerFactors(NamedTuple):
+    """The factors of paper equation (3) behind a topology's submatrices.
+
+    Submatrix ``i`` is ``1_{widths[i] x widths[i+1]} (x) bases[i]``: a
+    ``widths[i] x widths[i+1]`` grid of copies of the small matrix
+    ``bases[i]``.  :func:`repro.core.radixnet.generate_from_spec` records
+    them so training can run on the dense blocks instead of entry by
+    entry.
+    """
+
+    bases: tuple[CSRMatrix, ...]
+    widths: tuple[int, ...]
+
+
+def _check_factor_shapes(
+    submatrices: tuple[CSRMatrix, ...], factors: KroneckerFactors
+) -> None:
+    if len(factors.bases) != len(submatrices) or len(factors.widths) != len(submatrices) + 1:
+        raise TopologyError(
+            f"kron_factors need {len(submatrices)} bases and {len(submatrices) + 1} "
+            f"widths, got {len(factors.bases)} and {len(factors.widths)}"
+        )
+    for i, (w, base) in enumerate(zip(submatrices, factors.bases)):
+        expected = (factors.widths[i] * base.shape[0], factors.widths[i + 1] * base.shape[1])
+        if w.shape != expected:
+            raise TopologyError(
+                f"submatrix {i} has shape {w.shape}, but its Kronecker factors "
+                f"expand to {expected}"
+            )
+
+
 class FNNT:
     """A feedforward neural-network topology defined by adjacency submatrices.
 
@@ -48,6 +80,10 @@ class FNNT:
         When True (default) the FNNT axioms are checked at construction.
     name:
         Optional human-readable label carried through analysis reports.
+    kron_factors:
+        Optional :class:`KroneckerFactors` the submatrices were expanded
+        from.  Only the RadiX-Net generator sets them; every operation
+        that builds a new topology from this one drops them.
 
     Examples
     --------
@@ -65,11 +101,15 @@ class FNNT:
         *,
         validate: bool = True,
         name: str = "fnnt",
+        kron_factors: KroneckerFactors | None = None,
     ) -> None:
         if not submatrices:
             raise TopologyError("an FNNT requires at least one adjacency submatrix")
         self._submatrices: tuple[CSRMatrix, ...] = tuple(_as_csr(w) for w in submatrices)
         self.name = str(name)
+        if kron_factors is not None:
+            _check_factor_shapes(self._submatrices, kron_factors)
+        self.kron_factors = kron_factors
         if validate:
             self.validate()
 

@@ -1,9 +1,12 @@
-"""Tests for the sparse training loop (PR 10).
+"""Tests for the sparse training loop.
 
 Covers the ``sdmm`` backward kernel across every registered backend, the
 :class:`CSRTrainableLayer` (gradient checks, O(nnz) storage, numerical
 equivalence with :class:`MaskedSparseLayer`, structural mask invariance
-under every optimizer), the trainer bugfix sweep (batch-size-weighted
+under every optimizer), the :class:`KroneckerBlockLayer` (agreement with
+the masked and CSR layers, bitwise initial weights, row-blocked
+inference, O(nnz) construction, builder selection), the first layer's
+skipped input gradient, the trainer bugfix sweep (batch-size-weighted
 epoch loss, fit-twice seed-stream advance, lr-schedule/optimizer
 mismatch), the magnitude-pruning tie-break, and the ``train-study``
 experiment harness and CLI subcommand.
@@ -20,16 +23,21 @@ import repro.backends as backends
 from repro.backends.fused import _SDMM_BLOCK_ELEMENTS
 from repro.baselines.pruning import magnitude_prune_mask
 from repro.core.designer import design_for_widths
-from repro.core.radixnet import generate_from_spec
-from repro.errors import ShapeError, ValidationError
+from repro.baselines.xnet import random_xnet
+from repro.core.radixnet import RadixNetSpec, generate_from_spec
+from repro.errors import ShapeError, TopologyError, ValidationError
 from repro.experiments.training import accuracy_vs_density, train_study
 from repro.nn.builder import dense_model, model_from_topology
 from repro.nn.data import minibatches, one_hot
+from repro.nn import layers as layers_module
+from repro.nn.initializers import glorot_uniform, he_normal, iter_weight_rows
 from repro.nn.layers import (
     CSRSparseLayer,
     CSRTrainableLayer,
     DenseLayer,
+    KroneckerBlockLayer,
     MaskedSparseLayer,
+    is_block_regular,
 )
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import FeedforwardNetwork
@@ -37,6 +45,7 @@ from repro.nn.optimizers import SGD, Adam, Momentum, RMSProp
 from repro.nn.train import Trainer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import sdmm
+from repro.topology.fnnt import FNNT, KroneckerFactors
 from repro.topology.random_graphs import erdos_renyi_fnnt
 
 ALL_BACKENDS = backends.available_backends()
@@ -430,6 +439,380 @@ class TestTrainingEquivalence:
         for layer in deployed:
             got = layer.forward(got)
         np.testing.assert_allclose(got, expected)
+
+
+# --------------------------------------------------------------------------- #
+# KroneckerBlockLayer
+# --------------------------------------------------------------------------- #
+#: (systems, widths) of RadiX-Nets whose every layer the block layer covers:
+#: one system; systems whose last product divides N'; all-one widths;
+#: non-square widths (including a layer that narrows to width 1).
+BLOCK_SPECS = {
+    "single": ([(2, 3)], [2, 3, 2]),
+    "divisor": ([(3, 3), (3,)], [1, 2, 2, 1]),
+    "ones": ([(2, 2), (2, 2)], [1, 1, 1, 1, 1]),
+    "uneven": ([(2, 4), (4,)], [3, 1, 2, 5]),
+}
+BLOCK_LAYERS = [
+    (name, index) for name, (systems, _) in BLOCK_SPECS.items()
+    for index in range(sum(len(system) for system in systems))
+]
+
+
+def _spec_net(name):
+    systems, widths = BLOCK_SPECS[name]
+    return generate_from_spec(RadixNetSpec(systems, widths))
+
+
+def _block_layer(net, index, **kwargs):
+    factors = net.kron_factors
+    return KroneckerBlockLayer(
+        factors.bases[index], factors.widths[index], factors.widths[index + 1], **kwargs
+    )
+
+
+def _block_gradient_dense(layer):
+    """The block weight gradient laid out on the dense expanded matrix."""
+    view = copy.copy(layer)
+    view.blocks = layer.weight_gradient
+    return view.effective_weights()
+
+
+def _assert_close_relative(got, expected, rtol=1e-12):
+    scale = max(float(np.abs(expected).max()), np.finfo(float).tiny)
+    assert float(np.abs(got - expected).max()) <= rtol * scale
+
+
+class TestKroneckerBlockLayer:
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+    @pytest.mark.parametrize("name,index", BLOCK_LAYERS)
+    def test_agrees_with_masked_and_csr_layers(self, name, index, activation):
+        net = _spec_net(name)
+        submatrix = net.submatrices[index]
+        block = _block_layer(net, index, activation=activation, seed=3)
+        masked = MaskedSparseLayer(submatrix, activation=activation, seed=3)
+        csr = CSRTrainableLayer(submatrix, activation=activation, seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((7, submatrix.shape[0]))
+        up = rng.standard_normal((7, submatrix.shape[1]))
+        out = block.forward(x)
+        grad_x = block.backward(up)
+        for reference in (masked, csr):
+            _assert_close_relative(out, reference.forward(x))
+            _assert_close_relative(grad_x, reference.backward(up))
+            _assert_close_relative(block.bias_gradient, reference.bias_gradient)
+        _assert_close_relative(_block_gradient_dense(block), masked.weight_gradient)
+        rows, cols = np.nonzero(submatrix.to_dense())
+        _assert_close_relative(
+            _block_gradient_dense(block)[rows, cols], csr.weight_gradient
+        )
+
+    @pytest.mark.parametrize("fan_in_correction", [True, False])
+    @pytest.mark.parametrize("init", ["he", "glorot"])
+    @pytest.mark.parametrize("name,index", BLOCK_LAYERS)
+    def test_initial_weights_bitwise_equal_masked(self, name, index, init, fan_in_correction):
+        net = _spec_net(name)
+        options = dict(seed=np.random.default_rng(9), init=init, fan_in_correction=fan_in_correction)
+        block = _block_layer(net, index, **options)
+        options["seed"] = np.random.default_rng(9)
+        masked = MaskedSparseLayer(net.submatrices[index], **options)
+        # the masked layer keeps signed zeros off the pattern; compare values
+        # there and bits on it
+        np.testing.assert_array_equal(block.effective_weights(), masked.effective_weights())
+        rows, cols = np.nonzero(masked.mask)
+        np.testing.assert_array_equal(
+            block.effective_weights()[rows, cols].view(np.int64),
+            masked.effective_weights()[rows, cols].view(np.int64),
+        )
+
+    def test_initial_weights_bitwise_on_the_train_layer(self):
+        # several init chunks, so chunk boundaries are exercised too
+        net = generate_from_spec(design_for_widths([256, 1024, 1024, 16]).spec)
+        for index in (0, 1):
+            block = _block_layer(net, index, seed=21)
+            csr = CSRTrainableLayer(net.submatrices[index], seed=21)
+            deployed = block.csr_weights()
+            assert deployed.same_pattern(net.submatrices[index])
+            np.testing.assert_array_equal(
+                deployed.data.view(np.int64), csr.weights.data.view(np.int64)
+            )
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_backprop_matches_finite_differences(self, name, activation):
+        net = _spec_net(name)
+        last = len(net.submatrices) - 1
+        layers = [
+            _block_layer(net, index, activation="identity" if index == last else activation, seed=index)
+            for index in range(last + 1)
+        ]
+        model = FeedforwardNetwork(layers)
+        loss = CrossEntropyLoss()
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((5, model.input_size))
+        y = one_hot(rng.integers(0, model.output_size, size=5), model.output_size)
+        model.backward(loss.gradient(model.forward(x), y))
+        analytic = [g.copy() for g in model.gradients()]
+        eps = 1e-6
+        for param, grad in zip(model.parameters(), analytic):
+            for index in np.random.default_rng(13).choice(param.size, size=min(4, param.size), replace=False):
+                original = param.flat[index]
+                param.flat[index] = original + eps
+                plus = loss.value(model.forward(x, training=False), y)
+                param.flat[index] = original - eps
+                minus = loss.value(model.forward(x, training=False), y)
+                param.flat[index] = original
+                assert grad.flat[index] == pytest.approx((plus - minus) / (2 * eps), abs=1e-5)
+
+    @pytest.mark.parametrize("batch", [1, 64, 193, 1280])
+    def test_row_blocked_predict_is_bitwise_single_block(self, batch):
+        net = generate_from_spec(design_for_widths([256, 1024, 1024, 16]).spec)
+        layer = _block_layer(net, 1, seed=0)
+        assert layer._block_rows == 64  # 1280 rows walk 20 blocks; 193 merges its lone row
+        x = np.random.default_rng(batch).standard_normal((batch, layer.fan_in))
+        blocked = layer.forward(x, training=False)
+        single = layer.forward(x, training=True)
+        np.testing.assert_array_equal(blocked.view(np.int64), single.view(np.int64))
+
+    @pytest.mark.parametrize("batch", [16, 17, 40, 49])
+    def test_row_blocks_on_a_small_budget(self, batch, monkeypatch):
+        monkeypatch.setattr(layers_module, "_BLOCK_FORWARD_ELEMENTS", 1)
+        layer = _block_layer(_spec_net("uneven"), 2, seed=1, activation="sigmoid")
+        assert layer._block_rows == 16
+        x = np.random.default_rng(batch).standard_normal((batch, layer.fan_in))
+        np.testing.assert_array_equal(
+            layer.forward(x, training=False).view(np.int64),
+            layer.forward(x, training=True).view(np.int64),
+        )
+
+    def test_storage_is_o_nnz(self):
+        net = _spec_net("uneven")
+        layer = _block_layer(net, 2, seed=0)
+        nnz = net.submatrices[2].nnz
+        assert layer.blocks.size == nnz == layer.connection_count
+        assert layer.parameter_count == nnz + layer.fan_out
+        assert layer.density == pytest.approx(net.submatrices[2].density)
+        optimizer = Adam(0.01)
+        layer.forward(np.ones((2, layer.fan_in)))
+        layer.backward(np.ones((2, layer.fan_out)))
+        optimizer.step(layer.parameters(), layer.gradients())
+        assert optimizer._first_moment[0].size == nnz
+        assert optimizer._second_moment[0].size == nnz
+
+    def test_build_peak_is_o_nnz(self):
+        """A 2048 x 2048 layer at density 1/16: dense copies would need 32 MiB each."""
+        net = generate_from_spec(RadixNetSpec([(4, 4, 4)], [32, 32, 32, 32]))
+        factors = net.kron_factors
+        nnz_bytes = net.submatrices[1].nnz * 8
+        chunk_bytes = layers_module._INIT_CHUNK_ELEMENTS * 8
+        tracemalloc.start()
+        try:
+            KroneckerBlockLayer(factors.bases[1], 32, 32, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * nnz_bytes + 2 * chunk_bytes  # measured about 3x nnz bytes
+
+    def test_optimizer_updates_reach_forward_and_deployment(self):
+        net = _spec_net("divisor")
+        layer = _block_layer(net, 1, seed=0, activation="identity")
+        x = np.random.default_rng(2).standard_normal((3, layer.fan_in))
+        layer.forward(x)
+        layer.backward(np.ones((3, layer.fan_out)))
+        SGD(0.5).step(layer.parameters(), layer.gradients())
+        after = layer.forward(x, training=False)
+        _assert_close_relative(after, x @ layer.effective_weights() + layer.biases)
+        deployed = layer.to_csr_layer()
+        assert deployed.weights.same_pattern(net.submatrices[1])
+        _assert_close_relative(deployed.forward(x), after)
+        layer.blocks += 1.0  # training must not mutate the deployed copy
+        assert not np.allclose(deployed.weights.data, layer.csr_weights().data)
+
+    def test_second_backward_and_inference_forward_raise(self):
+        layer = _block_layer(_spec_net("single"), 0, seed=0)
+        up = np.ones((2, layer.fan_out))
+        layer.forward(np.ones((2, layer.fan_in)), training=False)
+        with pytest.raises(ValidationError):
+            layer.backward(up)
+        layer.forward(np.ones((2, layer.fan_in)))
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones((2, layer.fan_out + 1)))
+        layer.backward(up)
+        with pytest.raises(ValidationError):
+            layer.backward(up)
+
+    def test_validation(self):
+        base = _spec_net("single").kron_factors.bases[0]
+        with pytest.raises(ValidationError):
+            KroneckerBlockLayer(base.to_dense(), 1, 1)
+        with pytest.raises(ValidationError):
+            KroneckerBlockLayer(base, 0, 1)
+        with pytest.raises(ValidationError):
+            KroneckerBlockLayer(base, 1, 1, init="bogus")
+        irregular = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError):
+            KroneckerBlockLayer(irregular, 2, 2)
+        with pytest.raises(ShapeError):
+            KroneckerBlockLayer(base, 1, 1).forward(np.ones((2, base.shape[0] + 1)))
+
+    def test_is_block_regular(self):
+        assert is_block_regular(CSRMatrix.eye(3))
+        assert is_block_regular(CSRMatrix.ones((2, 3)))
+        assert not is_block_regular(CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]])))
+        assert not is_block_regular(CSRMatrix.eye(3).scale(2.0))
+        repeated = CSRMatrix((2, 2), [0, 2, 4], [0, 0, 1, 1])
+        assert not is_block_regular(repeated)
+
+
+class TestKroneckerFactors:
+    def test_generate_from_spec_records_the_factors(self):
+        net = _spec_net("uneven")
+        factors = net.kron_factors
+        assert factors.widths == (3, 1, 2, 5)
+        for index, (base, submatrix) in enumerate(zip(factors.bases, net.submatrices)):
+            ones = CSRMatrix.ones((factors.widths[index], factors.widths[index + 1]))
+            expanded = np.kron(ones.to_dense(), base.to_dense())
+            np.testing.assert_array_equal(expanded, submatrix.to_dense())
+
+    def test_derived_topologies_drop_the_factors(self):
+        net = _spec_net("ones")
+        assert net.concatenate(net).kron_factors is None
+        assert net.kron_expand([1] * net.num_layers).kron_factors is None
+        assert FNNT(net.submatrices, validate=False).kron_factors is None
+
+    def test_mismatched_factors_are_rejected(self):
+        net = _spec_net("uneven")
+        factors = net.kron_factors
+        with pytest.raises(TopologyError):
+            FNNT(net.submatrices, kron_factors=KroneckerFactors(factors.bases, (1, 1, 2, 5)))
+        with pytest.raises(TopologyError):
+            FNNT(net.submatrices, kron_factors=KroneckerFactors(factors.bases[:-1], factors.widths))
+
+
+class TestBlockLayerSelection:
+    def test_radix_net_gets_block_layers(self):
+        net = generate_from_spec(design_for_widths([16, 32, 32, 8]).spec)
+        model = model_from_topology(net, seed=0, sparse_training=True)
+        kinds = [type(layer) for layer in model.layers]
+        # the last level is all ones, so it stays a plain dense layer
+        assert kinds == [KroneckerBlockLayer, KroneckerBlockLayer, DenseLayer]
+        assert model.is_sparse()
+        masked = model_from_topology(net, seed=0)
+        assert [type(layer) for layer in masked.layers][:2] == [MaskedSparseLayer] * 2
+
+    @pytest.mark.parametrize("kind", ["erdos-renyi", "xnet", "concatenate", "kron_expand", "copy"])
+    def test_topologies_without_factors_get_csr_layers(self, kind):
+        net = _spec_net("ones")
+        topology = {
+            "erdos-renyi": lambda: erdos_renyi_fnnt([6, 10, 4], 0.5, seed=30),
+            "xnet": lambda: random_xnet(net.layer_sizes, 2, seed=0),
+            "concatenate": lambda: net.concatenate(net),
+            "kron_expand": lambda: net.kron_expand([1, 2, 2, 2, 1]),
+            "copy": lambda: FNNT(net.submatrices, validate=False),
+        }[kind]()
+        model = model_from_topology(topology, seed=0, sparse_training=True)
+        sparse = [layer for layer in model.layers if not isinstance(layer, DenseLayer)]
+        assert sparse and all(isinstance(layer, CSRTrainableLayer) for layer in sparse)
+
+    def test_block_training_tracks_masked_training(self):
+        net = _spec_net("uneven")
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((60, net.input_size))
+        y = one_hot(rng.integers(0, net.output_size, size=60), net.output_size)
+        histories, weights = [], []
+        for sparse_training in (False, True):
+            model = model_from_topology(net, seed=8, sparse_training=sparse_training)
+            history = Trainer(model, Adam(0.01), batch_size=16, seed=9).fit(x, y, epochs=3)
+            histories.append(history)
+            weights.append(model.weight_matrices())
+        assert histories[0].train_loss == pytest.approx(histories[1].train_loss, rel=1e-10)
+        for w_masked, w_block in zip(*weights):
+            np.testing.assert_allclose(w_block, w_masked, rtol=1e-9, atol=1e-12)
+
+    def test_to_sparse_inference_gives_the_same_categories(self):
+        net = generate_from_spec(design_for_widths([16, 32, 32, 8]).spec)
+        model = model_from_topology(net, seed=0, sparse_training=True)
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((6, 16))
+        y = one_hot(rng.integers(0, 8, size=6), 8)
+        Trainer(model, Adam(0.05), batch_size=3, seed=0).fit(x, y, epochs=2)
+        deployed = model.to_sparse_inference()
+        for layer, submatrix in zip(deployed[:2], net.submatrices):
+            assert layer.weights.same_pattern(submatrix)
+        x = rng.standard_normal((50, 16))
+        got = x
+        for layer in deployed:
+            got = layer.forward(got)
+        expected = model.predict(x)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(got, axis=1), model.predict_classes(x))
+
+
+class TestChunkedInitialDraw:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64, 1000])
+    @pytest.mark.parametrize("init", ["he", "glorot"])
+    def test_chunks_stack_to_the_full_draw_bitwise(self, init, chunk_rows):
+        full = {"he": he_normal, "glorot": glorot_uniform}[init](70, 9, seed=5)
+        chunks = list(iter_weight_rows(70, 9, init=init, seed=5, chunk_rows=chunk_rows))
+        assert [start for start, _ in chunks] == list(range(0, 70, chunk_rows))
+        stacked = np.vstack([block for _, block in chunks])
+        np.testing.assert_array_equal(stacked.view(np.int64), full.view(np.int64))
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            next(iter_weight_rows(3, 3, init="bogus"))
+        with pytest.raises(ValidationError):
+            next(iter_weight_rows(0, 3))
+
+
+# --------------------------------------------------------------------------- #
+# the first layer's input gradient
+# --------------------------------------------------------------------------- #
+def _layer_of_kind(kind, seed=0):
+    net = _spec_net("single")
+    submatrix = net.submatrices[0]
+    if kind == "dense":
+        return DenseLayer(submatrix.shape[0], submatrix.shape[1], seed=seed)
+    if kind == "masked":
+        return MaskedSparseLayer(submatrix, seed=seed)
+    if kind == "csr":
+        return CSRTrainableLayer(submatrix, seed=seed)
+    return _block_layer(net, 0, seed=seed)
+
+
+class TestSkippedInputGradient:
+    @pytest.mark.parametrize("kind", ["dense", "masked", "csr", "block"])
+    def test_layer_skips_only_the_input_gradient(self, kind):
+        rng = np.random.default_rng(40)
+        full, skipped = _layer_of_kind(kind), _layer_of_kind(kind)
+        x = rng.standard_normal((5, full.fan_in))
+        up = rng.standard_normal((5, full.fan_out))
+        full.forward(x)
+        skipped.forward(x)
+        grad_x = full.backward(up)  # a direct call keeps returning it
+        assert grad_x.shape == x.shape
+        assert skipped.backward(up, input_gradient=False) is None
+        for a, b in zip(full.gradients(), skipped.gradients()):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        with pytest.raises(ValidationError):
+            skipped.backward(up, input_gradient=False)
+
+    @pytest.mark.parametrize("sparse_training", [False, True])
+    def test_network_backward_skips_the_first_layer(self, sparse_training):
+        net = _spec_net("uneven")
+        model = model_from_topology(net, seed=1, sparse_training=sparse_training)
+        calls = []
+        for index, layer in enumerate(model.layers):
+            original = layer.backward
+
+            def spy(grad, *, input_gradient=True, _index=index, _original=original):
+                calls.append((_index, input_gradient))
+                return _original(grad, input_gradient=input_gradient)
+
+            layer.backward = spy
+        model.forward(np.random.default_rng(41).standard_normal((4, net.input_size)))
+        model.backward(np.full((4, net.output_size), 0.1))
+        assert calls == [(2, True), (1, True), (0, False)]
 
 
 # --------------------------------------------------------------------------- #
